@@ -192,7 +192,7 @@ def _cmd_verify(args) -> int:
         result = verify.VerifyResult(ok=ok)
     else:
         spec = _spec_from_args(g, args)
-        result = verify.verify_ft(g, kept, spec, args.k, shards=args.shards)
+        result = verify.verify_ft(g, kept, spec, args.k)
     elapsed = time.perf_counter() - started
     payload = {
         "command": "verify",
@@ -386,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--variant", choices=_VARIANTS, default="all-pairs")
     ver.add_argument("-k", type=int, required=True)
     ver.add_argument("--by-cuts", action="store_true")
-    ver.add_argument("--shards", type=int, default=1)
     ver.add_argument("--source", type=int)
     ver.add_argument("--target", type=int)
     ver.add_argument("--sources")

@@ -258,8 +258,12 @@ def scc_masks(adj: list[int]) -> list[int]:
     Two graphs over the same vertex set have identical SCC partitions iff
     these lists are equal elementwise.
     """
-    n = len(adj)
-    closure = closure_masks(adj)
+    return _components(closure_masks(adj))
+
+
+def _components(closure: list[int]) -> list[int]:
+    """Component-of-v masks from the reflexive-transitive closure rows."""
+    n = len(closure)
     comp = [0] * n
     for v in range(n):
         row = closure[v]
@@ -298,21 +302,16 @@ def set_to_mask(vertices: Iterable[int]) -> int:
 class SccPartition:
     component_of: tuple[int, ...]
     components: tuple[frozenset, ...]
-    topological_order: tuple[int, ...]
-
-    def same_partition(self, other: "SccPartition") -> bool:
-        return set(self.components) == set(other.components)
 
 
 def scc(g: DiGraph) -> SccPartition:
     """Strongly connected components with a topologically sorted condensation.
 
-    Components are emitted in topological order (every edge goes from a
-    component to an equal-or-later one), so ``topological_order`` is the
-    identity over component ids.
+    Components are numbered in topological order: every edge goes from a
+    component to an equal-or-later one.
     """
-    comp_masks = scc_masks(out_masks(g))
     closure = closure_masks(out_masks(g))
+    comp_masks = _components(closure)
     seen = {}
     for v in range(g.n):
         if comp_masks[v] not in seen:
@@ -326,21 +325,7 @@ def scc(g: DiGraph) -> SccPartition:
     index = {mask: i for i, mask in enumerate(ordered)}
     component_of = tuple(index[comp_masks[v]] for v in range(g.n))
     components = tuple(mask_to_set(mask) for mask in ordered)
-    return SccPartition(
-        component_of=component_of,
-        components=components,
-        topological_order=tuple(range(len(ordered))),
-    )
-
-
-def is_strongly_connected(g: DiGraph, banned: frozenset = frozenset()) -> bool:
-    if g.n <= 1:
-        return True
-    adj = out_masks(g, banned)
-    full = (1 << g.n) - 1
-    if reach_mask(adj, 1) != full:
-        return False
-    return reach_mask(in_masks(g, banned), 1) == full
+    return SccPartition(component_of=component_of, components=components)
 
 
 # -- text format ------------------------------------------------------------

@@ -270,7 +270,10 @@ def _expanding_terminals(sub: DiGraph, params: HierarchyParams, rng, state) -> s
         else:
             terminals = (terminals - (set(range(sub.n)) - side)) | exits
         if len(terminals) >= before:
-            raise AssertionError("terminal set did not shrink; phi too large")
+            raise InputError(
+                f"phi={params.phi} too large: a sparse cut did not shrink the "
+                "terminal set"
+            )
     return terminals
 
 

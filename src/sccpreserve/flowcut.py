@@ -166,15 +166,6 @@ class _Residual:
                         stack.append(u)
         return seen
 
-    def flow_on_original(self) -> dict:
-        """edge id -> 1 for every saturated original edge."""
-        used = {}
-        for a in range(0, len(self.to), 2):
-            eid = self.edge_id[a]
-            if eid is not None and self.cap[a] == 0:
-                used[eid] = a
-        return used
-
 
 def _check_terminals(g: DiGraph, X, Y):
     X = frozenset(X)

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from math import ceil, sqrt
 
+from . import limits
 from .digraph import DiGraph
 from .errors import InputError
 from .expander import is_unbreakable
@@ -106,14 +107,21 @@ def greedy_kconn_preserver(
 ) -> PreserverResult:
     """Edge-minimal subgraph preserving min(lambda, k) for every pair.
 
-    With ``use_demand_pairs`` each removal is tested only against the demand
-    pairs of the current graph (recomputed after every committed removal);
-    transitivity keeps the final result a preserver of the input.
+    One pass in ascending edge id drops every edge whose removal keeps the
+    targets of the current graph: every pair, or with ``use_demand_pairs``
+    only the demand pairs (recomputed after every committed removal).
+    Transitivity keeps the final result a preserver of the input.
+
+    A second pass would drop nothing.  Say e was kept because pair (u, v)
+    fails in H - e for the then current graph H, and the final graph H' (a
+    subgraph of H preserving it) still contains e.  Then
+    lambda_{H'-e} <= lambda_{H-e} < min(lambda_H, k) = min(lambda_{H'}, k) on
+    (u, v), so the pair fails in H' - e too; and a failing pair implies a
+    failing demand pair, because meeting every demand pair meets every pair.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
     kept = set(g.edge_ids())
-    removal_attempts = 0
     oracle_calls = 0
 
     def current_targets(h: DiGraph):
@@ -129,20 +137,14 @@ def greedy_kconn_preserver(
 
     h = g
     targets = current_targets(h)
-    changed = True
-    while changed:
-        changed = False
-        for eid in sorted(kept):
-            e = g.edge(eid)
-            removal_attempts += 1
-            if e.tail != e.head:
-                oracle_calls += 1
-                if not _preserves_pairs(h, frozenset((eid,)), targets):
-                    continue
-            kept.discard(eid)
-            h = g.restrict_to(kept)
-            targets = current_targets(h)
-            changed = True
+    for e in g.edges:
+        if e.tail != e.head:
+            oracle_calls += 1
+            if not _preserves_pairs(h, frozenset((e.id,)), targets):
+                continue
+        kept.discard(e.id)
+        h = g.restrict_to(kept)
+        targets = current_targets(h)
     return PreserverResult(
         kept_edges=frozenset(kept),
         variant="kconn",
@@ -150,7 +152,7 @@ def greedy_kconn_preserver(
         stats={
             "input_edges": g.m,
             "output_edges": len(kept),
-            "removal_attempts": removal_attempts,
+            "removal_attempts": g.m,
             "oracle_calls": oracle_calls,
         },
         provenance="greedy_kconn",
@@ -223,12 +225,16 @@ def check_kcritical_cut_bound(
     For every cut side L with |out-boundary| <= k the in-boundary stays
     within 4k|P| where P are the demand pairs (each pair's two path families
     cross back at most 2k times).  Violations are reported, not raised.
+    Without ``sample_limit`` all 2^n - 2 sides are checked, under the
+    side-enumeration guard.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
+    n = h.n
+    if sample_limit is None:
+        limits.guard_side_enumeration(n)
     pair_count = len(demand_pairs(h, k).pairs)
     bound = 4 * k * pair_count
-    n = h.n
     total_sides = (1 << n) - 2 if n >= 1 else 0
     if sample_limit is None or total_sides <= sample_limit:
         masks = range(1, (1 << n) - 1)

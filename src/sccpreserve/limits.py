@@ -9,7 +9,7 @@ variable (useful for the CLI) or per call where the API exposes a parameter.
 import os
 from math import comb
 
-from .errors import CapabilityError
+from .errors import CapabilityError, InputError
 
 DEFAULT_MAX_FAULT_SETS = 2_000_000
 DEFAULT_MAX_SUBSET_PAIRS = 5_000_000
@@ -26,7 +26,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CapabilityError(f"bad integer in ${_ENV_PREFIX}{name}: {raw!r}")
+        raise InputError(f"bad integer in ${_ENV_PREFIX}{name}: {raw!r}") from None
 
 
 def max_fault_sets() -> int:

@@ -1,13 +1,19 @@
 """Greedy fault-tolerant preserver constructions and the A-series reductions.
 
-The greedy loop starts from the full edge set and keeps deleting edges whose
-removal leaves the current graph a valid preserver of itself; transitivity
-makes the result a preserver of the input.  Criticality of one edge is an
-exhaustive search over fault sets, so the loop caches, per edge, the last
-witness (pair, fault set) that proved it critical: while a cached witness
-revalidates, the full enumeration is skipped.
+The greedy construction scans the edges once, in ascending edge id, and
+deletes every edge that is not critical in the current graph: no fault set
+of at most k other current edges makes it carry a protected pair.  Each
+deletion leaves the current graph a k-FT preserver of itself, so by
+transitivity the result is a preserver of the input.
 
-Scan order is ascending edge id, repeated until a full pass removes nothing.
+One pass already gives an edge-minimal result.  Say e was kept because it
+is critical in the then current graph H with witness F, and the final graph
+H' (a subgraph of H, and a k-FT preserver of H) still contains e.  The
+broken pair is connected in H - F, hence in H' - F = H' - (F & E(H')); and
+H' - F - e is a subgraph of H - F - e, where the pair is broken.  So e is
+critical in H' with witness F & E(H'), and a second pass would remove
+nothing.
+
 Different scan orders give different edge-minimal preservers; all of them
 pass the exhaustive verifier, and this one is fixed for reproducibility.
 """
@@ -20,7 +26,7 @@ from . import limits
 from .digraph import DiGraph, scc
 from .errors import InputError
 from .expander import HierarchyParams, build_hierarchy
-from .variants import ConnectivityOracle, VariantSpec, fault_sets_colex
+from .variants import ConnectivityOracle, CriticalityScan, VariantSpec
 
 
 @dataclass(frozen=True)
@@ -42,15 +48,6 @@ class PreserverResult:
         return len(self.kept_edges)
 
 
-def _witness_pair(oracle: ConnectivityOracle, active, fault, removed):
-    """Extract the broken pair for a confirmed witness (None for global)."""
-    if oracle.spec.kind == "global":
-        return None
-    state_a = oracle.state(active, fault)
-    state_b = oracle.state(active, set(fault) | {removed})
-    return oracle.first_broken_pair(state_a, state_b)
-
-
 def is_ft_critical(
     g: DiGraph, edge_id: int, spec: VariantSpec, k: int, limit: int | None = None
 ) -> CriticalityResult:
@@ -68,68 +65,11 @@ def is_ft_critical(
     if k < 0:
         raise InputError("k must be nonnegative")
     limits.guard_fault_sets(g.m - 1, k, limit)
-    oracle = ConnectivityOracle(g, spec)
-    active = g.edge_ids()
-    universe = sorted(active - {edge_id})
-    for fault in fault_sets_colex(universe, k):
-        base = oracle.state(active, fault)
-        if oracle.changed(base, active, fault, edge_id):
-            pair = _witness_pair(oracle, active, fault, edge_id)
-            return CriticalityResult(True, (pair, frozenset(fault)))
-    return CriticalityResult(False)
-
-
-class _GreedyRun:
-    """One greedy minimization with witness and baseline-state caching."""
-
-    def __init__(self, g: DiGraph, spec: VariantSpec, k: int, limit: int | None):
-        limits.guard_fault_sets(g.m, k, limit)
-        self.oracle = ConnectivityOracle(g, spec)
-        self.g = g
-        self.k = k
-        self.kept = set(g.edge_ids())
-        self.witness: dict[int, tuple] = {}
-        self.base_states: dict[tuple, object] = {}
-        self.removal_attempts = 0
-        self.oracle_calls = 0
-
-    def _base(self, fault: tuple):
-        state = self.base_states.get(fault)
-        if state is None:
-            state = self.oracle.state(self.kept, fault)
-            self.base_states[fault] = state
-        return state
-
-    def _critical(self, eid: int) -> bool:
-        edge = self.g.edge(eid)
-        if edge.tail == edge.head:
-            return False
-        cached = self.witness.get(eid)
-        if cached is not None and all(f in self.kept for f in cached):
-            self.oracle_calls += 1
-            if self.oracle.changed(self._base(cached), self.kept, cached, eid):
-                return True
-        universe = sorted(self.kept - {eid})
-        for fault in fault_sets_colex(universe, self.k):
-            self.oracle_calls += 1
-            if self.oracle.changed(self._base(fault), self.kept, fault, eid):
-                self.witness[eid] = fault
-                return True
-        return False
-
-    def run(self) -> frozenset:
-        changed = True
-        while changed:
-            changed = False
-            for eid in sorted(self.kept):
-                self.removal_attempts += 1
-                if self._critical(eid):
-                    continue
-                self.kept.discard(eid)
-                self.witness.pop(eid, None)
-                self.base_states.clear()
-                changed = True
-        return frozenset(self.kept)
+    scan = CriticalityScan(ConnectivityOracle(g, spec), g.edge_ids(), k)
+    fault = scan.first_witness(edge_id)
+    if fault is None:
+        return CriticalityResult(False)
+    return CriticalityResult(True, (scan.broken_pair(fault, edge_id), frozenset(fault)))
 
 
 def greedy_preserver(
@@ -139,8 +79,12 @@ def greedy_preserver(
     if k < 0:
         raise InputError("k must be nonnegative")
     spec.validate(g)
-    run = _GreedyRun(g, spec, k, limit)
-    kept = run.run()
+    limits.guard_fault_sets(g.m, k, limit)
+    scan = CriticalityScan(ConnectivityOracle(g, spec), g.edge_ids(), k)
+    for eid in sorted(g.edge_ids()):
+        if scan.first_witness(eid) is None:
+            scan.remove(eid)
+    kept = frozenset(scan.active)
     return PreserverResult(
         kept_edges=kept,
         variant=spec.kind,
@@ -148,8 +92,8 @@ def greedy_preserver(
         stats={
             "input_edges": g.m,
             "output_edges": len(kept),
-            "removal_attempts": run.removal_attempts,
-            "oracle_calls": run.oracle_calls,
+            "removal_attempts": g.m,
+            "oracle_calls": scan.oracle_calls,
         },
         provenance="greedy",
     )

@@ -9,7 +9,10 @@ so the per-variant connectivity state lives here.
 Fault sets are enumerated in colexicographic edge-id order, which equals
 ascending order of the subset bitmask: the empty set first, then subsets by
 largest member.  Every "first witness" and "first counterexample" in the
-package is defined against this order.
+package is defined against this order, and both are found here, each by
+one loop over fault sets: :class:`CriticalityScan` (does dropping one edge
+break a protected pair?) and :meth:`ConnectivityOracle.first_counterexample`
+(does a subgraph lose a protected pair that the graph keeps?).
 """
 
 from __future__ import annotations
@@ -244,6 +247,78 @@ class ConnectivityOracle:
         if self.spec.kind == GLOBAL:
             return self.connected(state_g) and not self.connected(state_h)
         return self.first_broken_pair(state_g, state_h) is not None
+
+    def first_counterexample(self, kept, faults, edges_of=None):
+        """First item of ``faults`` under which g[kept] loses a protected fact.
+
+        An item is a fault set of edge ids or, with ``edges_of``, a label
+        (such as a color family) that ``edges_of`` maps to one.  The item F
+        is a counterexample when H - F breaks a fact that g - F still has.
+        Returns ``(item, pair)`` with the row-major first broken pair (None
+        for the global variant), or None when every item passes.
+        """
+        active_g = self.g.edge_ids()
+        for item in faults:
+            fault = item if edges_of is None else edges_of(item)
+            state_g = self.state(active_g, fault)
+            state_h = self.state(kept, fault)
+            if not self.breaks(state_g, state_h):
+                continue
+            if self.spec.kind == GLOBAL:
+                return item, None
+            return item, self.first_broken_pair(state_g, state_h)
+        return None
+
+
+class CriticalityScan:
+    """Criticality of single edges within a shrinking active edge set.
+
+    An active edge e is critical when, for some fault set F of at most k
+    other active edges, dropping e from ``active - F`` breaks a protected
+    pair.  Self-loops never carry connectivity and are never critical.  The
+    baseline state of ``active - F`` does not depend on e, so it is cached
+    per F and shared by every edge until :meth:`remove` shrinks the set.
+    """
+
+    def __init__(self, oracle: ConnectivityOracle, active, k: int):
+        self.oracle = oracle
+        self.active = set(active)
+        self.k = k
+        self.base_states: dict[tuple, object] = {}
+        self.oracle_calls = 0  # changed() evaluations
+
+    def _base(self, fault: tuple):
+        state = self.base_states.get(fault)
+        if state is None:
+            state = self.oracle.state(self.active, fault)
+            self.base_states[fault] = state
+        return state
+
+    def first_witness(self, eid: int) -> tuple | None:
+        """First fault set (colex order) proving ``eid`` critical, or None."""
+        edge = self.oracle.g.edge(eid)
+        if edge.tail == edge.head:
+            return None
+        for fault in fault_sets_colex(self.active - {eid}, self.k):
+            self.oracle_calls += 1
+            if self.oracle.changed(self._base(fault), self.active, fault, eid):
+                return fault
+        return None
+
+    def broken_pair(self, fault: tuple, eid: int):
+        """The first pair that dropping ``eid`` on top of ``fault`` breaks.
+
+        None for the global variant, which protects no single pair.
+        """
+        oracle = self.oracle
+        if oracle.spec.kind == GLOBAL:
+            return None
+        after = oracle.state(self.active, _with(fault, eid))
+        return oracle.first_broken_pair(self._base(fault), after)
+
+    def remove(self, eid: int) -> None:
+        self.active.discard(eid)
+        self.base_states.clear()
 
 
 def _with(fault, extra: int):

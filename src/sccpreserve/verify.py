@@ -1,26 +1,24 @@
 """Ground-truth oracles: exhaustive fault-set verification, critical-edge
 enumeration, cut-characterization verifiers, and strong-fault witnesses.
 
-Fault sets range over the edges of the host graph (not the preserver), in
-colex edge-id order; pairs are scanned in row-major vertex order.  The
-first counterexample under that order is the one reported, and sharded
-scans merge back to the same counterexample.
+``verify_ft`` scans fault sets drawn from the preserver's edges, in colex
+edge-id order; pairs are scanned in row-major vertex order.  The first
+counterexample under that order is the one reported.  It is also the first
+counterexample among all fault sets of the host graph: if F is one, so is
+F & E(H) (H - F does not change, and g - F can only gain connectivity), and
+F & E(H) comes no later than F in colex order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import limits
 from .digraph import DiGraph, in_masks, out_masks, reach_mask
 from .errors import CapabilityError, InputError
 from .flowcut import symmetric_connectivity
-from .variants import (
-    GLOBAL,
-    ConnectivityOracle,
-    VariantSpec,
-    fault_sets_colex,
-)
+from .variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
 
 
 @dataclass(frozen=True)
@@ -42,60 +40,32 @@ def _check_kept(g: DiGraph, kept_edges) -> frozenset:
     return kept
 
 
+def _verdict(hit) -> VerifyResult:
+    """VerifyResult of a ``first_counterexample`` hit (None means verified)."""
+    if hit is None:
+        return VerifyResult(ok=True)
+    faults, pair = hit
+    return VerifyResult(ok=False, counterexample=Counterexample(pair, frozenset(faults)))
+
+
 def verify_ft(
     g: DiGraph,
     kept_edges,
     spec: VariantSpec,
     k: int,
     limit: int | None = None,
-    shards: int = 1,
 ) -> VerifyResult:
     """Exhaustively check the variant's k-FT condition for H = g[kept_edges].
 
-    The fault universe is split into ``shards`` contiguous colex ranges that
-    are scanned independently; the merged verdict reports the globally
-    minimal counterexample, so the shard count never changes the answer.
+    Fault sets range over E(H), so the guard counts |E(H)|, not |E(g)|.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
-    if shards < 1:
-        raise InputError("shards must be positive")
     kept = _check_kept(g, kept_edges)
     spec.validate(g)
-    limits.guard_fault_sets(g.m, k, limit)
+    limits.guard_fault_sets(len(kept), k, limit)
     oracle = ConnectivityOracle(g, spec)
-    active_all = g.edge_ids()
-    ids = sorted(active_all)
-
-    def scan(lo: int, hi: int) -> tuple[int, Counterexample] | None:
-        """First counterexample with colex index in [lo, hi)."""
-        for index, fault in enumerate(fault_sets_colex(ids, k)):
-            if index < lo:
-                continue
-            if index >= hi:
-                return None
-            state_g = oracle.state(active_all, fault)
-            state_h = oracle.state(kept, fault)
-            if not oracle.breaks(state_g, state_h):
-                continue
-            pair = None
-            if spec.kind != GLOBAL:
-                pair = oracle.first_broken_pair(state_g, state_h)
-            return index, Counterexample(pair=pair, faults=frozenset(fault))
-        return None
-
-    total = limits.fault_set_count(g.m, k)
-    bounds = [(j * total) // shards for j in range(shards + 1)]
-    hits = []
-    for j in range(shards):
-        hit = scan(bounds[j], bounds[j + 1])
-        if hit is not None:
-            hits.append(hit)
-            break  # shards are colex-contiguous: the first hit is minimal
-    if hits:
-        best = min(hits, key=lambda hit: hit[0])
-        return VerifyResult(ok=False, counterexample=best[1])
-    return VerifyResult(ok=True)
+    return _verdict(oracle.first_counterexample(kept, fault_sets_colex(kept, k)))
 
 
 def verify_kconn(g: DiGraph, kept_edges, k: int) -> VerifyResult:
@@ -125,22 +95,8 @@ def enumerate_critical_edges(
         raise InputError("k must be nonnegative")
     spec.validate(g)
     limits.guard_fault_sets(g.m, k, limit)
-    oracle = ConnectivityOracle(g, spec)
-    active = g.edge_ids()
-    base_cache: dict[tuple, object] = {}
-    critical = set()
-    for e in g.edges:
-        if e.tail == e.head:
-            continue
-        for fault in fault_sets_colex(sorted(active - {e.id}), k):
-            base = base_cache.get(fault)
-            if base is None:
-                base = oracle.state(active, fault)
-                base_cache[fault] = base
-            if oracle.changed(base, active, fault, e.id):
-                critical.add(e.id)
-                break
-    return frozenset(critical)
+    scan = CriticalityScan(ConnectivityOracle(g, spec), g.edge_ids(), k)
+    return frozenset(e.id for e in g.edges if scan.first_witness(e.id) is not None)
 
 
 # -- cut-characterization verifiers -----------------------------------------
@@ -242,12 +198,23 @@ def _pair_strongly_connected(g: DiGraph, banned: frozenset, a: int, b: int) -> b
     return bool((bwd >> b) & 1)
 
 
-def _all_pairs_equal(g: DiGraph, kept: frozenset, fault: frozenset) -> tuple | None:
-    """First broken pair of g-F vs H-F under an explicit fault set, or None."""
-    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
-    state_g = oracle.state(g.edge_ids(), fault)
-    state_h = oracle.state(kept, fault)
-    return oracle.first_broken_pair(state_g, state_h)
+def _bounded_degree_faults(g: DiGraph):
+    """Every 1-bounded-degree fault set as an edge-id tuple, in DFS preorder.
+
+    Such a set touches each vertex at most once: a matching of g, self-loops
+    included.
+    """
+    edges = g.edges
+
+    def extend(idx: int, touched: int, chosen: tuple):
+        yield chosen
+        for j in range(idx, len(edges)):
+            e = edges[j]
+            ends = (1 << e.tail) | (1 << e.head)
+            if not ends & touched:
+                yield from extend(j + 1, touched | ends, chosen + (e.id,))
+
+    return extend(0, 0, ())
 
 
 def verify_bounded_degree_ft(
@@ -257,36 +224,17 @@ def verify_bounded_degree_ft(
 
     Valid fault sets touch every vertex's incident edges at most once, so
     they are enumerated as matchings of the incidence structure.  The
-    universe grows exponentially; the guard caps the number of fault sets.
-    The witness checkers are the primary interface, this exhaustive form is
-    for tiny instances only.
+    universe grows exponentially; a counting pass caps the number of fault
+    sets before any is checked, and the checking pass streams them.  The
+    witness checkers are the primary interface, this exhaustive form is for
+    tiny instances only.
     """
     kept = _check_kept(g, kept_edges)
     cap = limit if limit is not None else limits.max_fault_sets()
-    edges = [e for e in g.edges]
-    faults: list[frozenset] = []
-
-    def extend(idx: int, touched: frozenset, chosen: tuple):
-        if len(faults) > cap:
-            raise CapabilityError(
-                f"1-bounded-degree fault universe exceeds {cap} sets"
-            )
-        faults.append(frozenset(chosen))
-        for j in range(idx, len(edges)):
-            e = edges[j]
-            ends = {e.tail, e.head}
-            if ends & touched:
-                continue
-            extend(j + 1, touched | ends, chosen + (e.id,))
-
-    extend(0, frozenset(), ())
-    for fault in faults:
-        pair = _all_pairs_equal(g, kept, fault)
-        if pair is not None:
-            return VerifyResult(
-                ok=False, counterexample=Counterexample(pair=pair, faults=fault)
-            )
-    return VerifyResult(ok=True)
+    if sum(1 for _ in islice(_bounded_degree_faults(g), cap + 1)) > cap:
+        raise CapabilityError(f"1-bounded-degree fault universe exceeds {cap} sets")
+    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
+    return _verdict(oracle.first_counterexample(kept, _bounded_degree_faults(g)))
 
 
 def verify_color_ft(
@@ -295,28 +243,28 @@ def verify_color_ft(
     """Exhaustive k-color-fault verification over all color families.
 
     Every family of at most k colors fails together; the guard caps the
-    number of families.  Requires a fully colored graph.
+    number of families.  Requires a fully colored graph.  A counterexample
+    names the failed color family, not its edges.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
     kept = _check_kept(g, kept_edges)
-    colors = sorted({e.color for e in g.edges})
-    if None in [e.color for e in g.edges]:
+    if any(e.color is None for e in g.edges):
         raise InputError("color-fault verification needs every edge colored")
-    cap = limit if limit is not None else limits.max_fault_sets()
-    limits.guard_fault_sets(len(colors), k, cap)
     by_color: dict[int, set] = {}
     for e in g.edges:
         by_color.setdefault(e.color, set()).add(e.id)
-    for family in fault_sets_colex(colors, k):
-        fault = frozenset().union(*(by_color[c] for c in family)) if family else frozenset()
-        pair = _all_pairs_equal(g, kept, fault)
-        if pair is not None:
-            return VerifyResult(
-                ok=False,
-                counterexample=Counterexample(pair=pair, faults=frozenset(family)),
-            )
-    return VerifyResult(ok=True)
+    colors = sorted(by_color)
+    cap = limit if limit is not None else limits.max_fault_sets()
+    limits.guard_fault_sets(len(colors), k, cap)
+
+    def edges_of(family):
+        return frozenset().union(*(by_color[c] for c in family))
+
+    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
+    return _verdict(
+        oracle.first_counterexample(kept, fault_sets_colex(colors, k), edges_of)
+    )
 
 
 def verify_bounded_degree_witness(

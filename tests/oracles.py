@@ -179,6 +179,30 @@ def verify_ft_ref(g, kept, pairs, k, global_variant=False):
     return True
 
 
+def first_counterexample_ref(g, kept, pairs, k, global_variant=False):
+    """(pair, fault) of the colex-first fault set over all of E(g) under
+    which H = g[kept] loses a pair (the first one in ``pairs``) that g keeps;
+    pair is None for the global variant.  None if H passes."""
+    kept = set(kept)
+    faults = sorted(
+        fault_sets_ref(g.edge_ids(), k), key=lambda f: sum(1 << e for e in f)
+    )
+    for fault in faults:
+        h_banned = fault | (set(g.edge_ids()) - kept)
+        if global_variant:
+            if is_strongly_connected_ref(g, fault) and not is_strongly_connected_ref(
+                g, h_banned
+            ):
+                return None, fault
+            continue
+        for a, b in pairs:
+            if strongly_connected_pair_ref(g, fault, a, b) and not (
+                strongly_connected_pair_ref(g, h_banned, a, b)
+            ):
+                return (a, b), fault
+    return None
+
+
 def unbreakable_ref(g, terminals, q, k):
     """Direct Definition check over all 2^n sides."""
     U = set(terminals)

@@ -138,20 +138,27 @@ def test_capability_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "capability" in err
 
 
-def test_verify_shards_flag(tmp_path, capsys):
+def test_bad_env_integer_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "abc")
     gpath = str(tmp_path / "g.txt")
-    g = gen_random(6, 12, 5, ensure_strongly_connected=True)
-    dump(g, gpath)
-    ppath = tmp_path / "p.json"
-    ppath.write_text(json.dumps(sorted(g.edge_ids())[:5]))
-    results = []
-    for shards in ("1", "4"):
-        code, out, _ = run_cli(
-            capsys, "verify", "--graph", gpath, "--preserver", str(ppath),
-            "--variant", "all-pairs", "-k", "1", "--shards", shards, "--json",
-        )
-        results.append((code, json.loads(out)))
-    assert results[0] == results[1]
+    dump(gen_random(5, 8, 0, ensure_strongly_connected=True), gpath)
+    code, _, err = run_cli(capsys, "critical", "--graph", gpath, "-k", "1")
+    assert code == 2
+    assert "SCC_PRESERVE_MAX_FAULT_SETS" in err
+
+
+def test_hierarchy_phi_too_large_is_input_error(tmp_path, capsys):
+    gpath = str(tmp_path / "g.txt")
+    code, _, _ = run_cli(
+        capsys, "gen", "random", "--n", "6", "--m", "12", "--seed", "0",
+        "--ensure-scc", "-o", gpath,
+    )
+    assert code == 0
+    code, _, err = run_cli(
+        capsys, "hierarchy", "--graph", gpath, "-q", "1", "-k", "1", "--phi", "1"
+    )
+    assert code == 2
+    assert "phi" in err
 
 
 def test_hierarchy_json(tmp_path, capsys):

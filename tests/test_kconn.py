@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from sccpreserve.digraph import DiGraph
+from sccpreserve.errors import CapabilityError
 from sccpreserve.expander import is_unbreakable
 from sccpreserve.families import gen_random
 from sccpreserve.flowcut import boundary_edges
@@ -13,7 +16,7 @@ from sccpreserve.kconn import (
 )
 from sccpreserve.verify import verify_kconn
 
-from conftest import bidirected_k4, bidirected_triangle, directed_path
+from conftest import bidirected_k4, bidirected_triangle, directed_path, loopy_multigraph
 from oracles import symmetric_connectivity_ref
 
 
@@ -76,6 +79,27 @@ def test_greedy_kconn_demand_pairs_mode_matches_all_pairs_mode():
         slow = greedy_kconn_preserver(g, k, use_demand_pairs=False)
         assert fast.kept_edges == slow.kept_edges
         assert verify_kconn(g, fast.kept_edges, k).ok
+
+
+def test_greedy_kconn_output_is_edge_minimal():
+    # one pass in either mode: dropping any kept edge breaks some pair
+    rng = random.Random(67)
+    graphs = [
+        gen_random(6, rng.randrange(8, 15), 400 + trial, ensure_strongly_connected=True)
+        for trial in range(4)
+    ]
+    graphs += [loopy_multigraph(rng, rng.randrange(3, 6)) for _ in range(4)]
+    for g in graphs:
+        for k in (1, 2):
+            for use_demand_pairs in (False, True):
+                res = greedy_kconn_preserver(g, k, use_demand_pairs)
+                assert res.stats["removal_attempts"] == g.m
+                kept = res.kept_edges
+                assert verify_kconn(g, kept, k).ok
+                for eid in kept:
+                    e = g.edge(eid)
+                    assert e.tail != e.head
+                    assert not verify_kconn(g, kept - {eid}, k).ok, (k, use_demand_pairs, eid)
 
 
 def test_demand_pair_sufficiency_for_subgraphs():
@@ -161,6 +185,14 @@ def test_cut_bound_cycle():
     report = check_kcritical_cut_bound(g, 1, sample_limit=None)
     assert report.violations == ()
     assert report.cuts_checked > 0
+
+
+def test_cut_bound_full_enumeration_guarded():
+    g = DiGraph(17, [(i, (i + 1) % 17) for i in range(17)])
+    with pytest.raises(CapabilityError):
+        check_kcritical_cut_bound(g, 1, sample_limit=None)
+    sampled = check_kcritical_cut_bound(g, 1, sample_limit=50)
+    assert sampled.violations == ()
 
 
 def test_cut_bound_on_greedy_outputs():

@@ -16,7 +16,7 @@ from sccpreserve.preservers import (
 from sccpreserve.variants import VariantSpec
 from sccpreserve.verify import verify_ft
 
-from conftest import bidirected_triangle, three_cycle
+from conftest import bidirected_triangle, loopy_multigraph, three_cycle, variant_checks
 from oracles import ft_critical_ref, verify_ft_ref
 
 
@@ -52,15 +52,8 @@ def test_criticality_matches_reference_all_variants():
     for trial in range(25):
         g = gen_random(5, rng.randrange(6, 12), trial, ensure_strongly_connected=True)
         k = rng.randrange(0, 3)
-        checks = [
-            (VariantSpec.all_pairs(), all_pairs_of(g), False),
-            (VariantSpec.single_source(0), [(0, v) for v in range(1, g.n)], False),
-            (VariantSpec.st(0, g.n - 1), [(0, g.n - 1)], False),
-            (VariantSpec.sourcewise({0, 1}), [(u, v) for u in (0, 1) for v in range(g.n) if u != v], False),
-            (VariantSpec.global_(), [], True),
-        ]
         for eid in sorted(g.edge_ids())[:6]:
-            for spec, pairs, global_variant in checks:
+            for spec, pairs, global_variant in variant_checks(g):
                 expect = ft_critical_ref(g, eid, pairs, k, global_variant)
                 got = is_ft_critical(g, eid, spec, k).critical
                 assert got == expect, (trial, eid, spec.kind, k)
@@ -99,6 +92,24 @@ def test_greedy_soundness_and_minimality_random():
         h = g.restrict_to(res.kept_edges)
         for eid in res.kept_edges:
             assert is_ft_critical(h, eid, VariantSpec.all_pairs(), k).critical
+
+
+def test_greedy_minimal_on_multigraphs_all_variants():
+    # one greedy pass already leaves every kept edge critical in the output,
+    # also with self-loops, parallel edges and several SCCs
+    rng = random.Random(71)
+    for trial in range(6):
+        g = loopy_multigraph(rng, rng.randrange(3, 6))
+        for k in (0, 1, 2):
+            for spec, pairs, global_variant in variant_checks(g):
+                res = greedy_preserver(g, spec, k)
+                assert res.stats["removal_attempts"] == g.m
+                assert verify_ft_ref(g, res.kept_edges, pairs, k, global_variant)
+                h = g.restrict_to(res.kept_edges)
+                for eid in res.kept_edges:
+                    assert ft_critical_ref(h, eid, pairs, k, global_variant), (
+                        trial, k, spec.kind, eid,
+                    )
 
 
 def test_greedy_capability_guard():

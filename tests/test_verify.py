@@ -4,6 +4,8 @@ import pytest
 
 from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import CapabilityError, InputError
+from sccpreserve.limits import fault_set_count
+from sccpreserve.preservers import greedy_preserver
 from sccpreserve.families import (
     gen_bounded_degree_lower,
     gen_color_fault_lower,
@@ -20,8 +22,8 @@ from sccpreserve.verify import (
     verify_kconn_by_cuts,
 )
 
-from conftest import bidirected_triangle, three_cycle
-from oracles import verify_ft_ref
+from conftest import bidirected_triangle, three_cycle, variant_checks
+from oracles import first_counterexample_ref, verify_ft_ref
 
 
 def all_pairs_of(g):
@@ -83,17 +85,44 @@ def test_counterexample_is_colex_minimal():
             break
 
 
-def test_shards_do_not_change_verdict():
-    rng = random.Random(53)
-    for trial in range(10):
-        g = gen_random(5, 10, 80 + trial)
+def test_counterexample_is_colex_first_over_host_edges():
+    # verify_ft scans only subsets of E(H); its counterexample must still be
+    # the colex-first failing fault set over all of E(G).  A (k-1)-FT
+    # preserver checked at k mostly fails on a nonempty fault set.
+    rng = random.Random(89)
+    for trial in range(12):
+        g = gen_random(5, rng.randrange(6, 10), 500 + trial,
+                       ensure_strongly_connected=trial % 2 == 0)
         ids = sorted(g.edge_ids())
-        kept = frozenset(rng.sample(ids, 6))
-        base = verify_ft(g, kept, VariantSpec.all_pairs(), 2)
-        for shards in (2, 3, 7):
-            again = verify_ft(g, kept, VariantSpec.all_pairs(), 2, shards=shards)
-            assert again.ok == base.ok
-            assert again.counterexample == base.counterexample
+        for spec, pairs, global_variant in variant_checks(g):
+            weaker = None
+            for k in (0, 1, 2):
+                kept = greedy_preserver(g, spec, k).kept_edges
+                candidates = [kept, frozenset(rng.sample(ids, rng.randrange(len(ids) + 1)))]
+                if kept:
+                    candidates.append(kept - {rng.choice(sorted(kept))})
+                if weaker is not None:
+                    candidates.append(weaker)
+                weaker = kept
+                for cand in candidates:
+                    res = verify_ft(g, cand, spec, k)
+                    ref = first_counterexample_ref(g, cand, pairs, k, global_variant)
+                    if ref is None:
+                        assert res.ok
+                        continue
+                    assert not res.ok
+                    got = (res.counterexample.pair, res.counterexample.faults)
+                    assert got == ref, (trial, k, spec.kind, sorted(cand))
+
+
+def test_guard_counts_preserver_edges():
+    g = gen_random(8, 30, 3, ensure_strongly_connected=True)
+    kept = greedy_preserver(g, VariantSpec.all_pairs(), 1).kept_edges
+    limit = fault_set_count(len(kept), 2)
+    assert fault_set_count(g.m, 2) > limit
+    verify_ft(g, kept, VariantSpec.all_pairs(), 2, limit=limit)
+    with pytest.raises(CapabilityError):
+        verify_ft(g, kept, VariantSpec.all_pairs(), 2, limit=limit - 1)
 
 
 def test_subset_failure_monotone():
@@ -231,6 +260,9 @@ def test_full_bounded_degree_universe_verification():
     assert res.counterexample.pair is not None
     with pytest.raises(CapabilityError):
         verify_bounded_degree_ft(g, g.edge_ids(), limit=2)
+    # the cap holds before any fault set is checked, even for a failing H
+    with pytest.raises(CapabilityError):
+        verify_bounded_degree_ft(g, g.edge_ids() - {eid}, limit=2)
 
 
 def test_full_color_universe_verification():
