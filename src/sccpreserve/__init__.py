@@ -1,6 +1,6 @@
 """Fault-tolerant strong-connectivity preservers for directed multigraphs."""
 
-from .digraph import DiGraph, Edge, FaultSet, SccPartition, parse, scc, serialize
+from .digraph import DiGraph, Edge, SccPartition, parse, scc, serialize
 from .errors import CapabilityError, InputError
 from .expander import (
     ExpanderHierarchy,

@@ -38,7 +38,7 @@ def _emit(args, payload: dict, summary: str) -> None:
 def _load_graph(path: str):
     try:
         return digraph.load(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read graph file: {exc}") from None
 
 
@@ -88,11 +88,14 @@ def _cmd_gen(args) -> int:
         g, meta = families.gen_color_fault_lower(args.x, args.y)
     else:
         raise InputError(f"unknown family {args.family}")
-    digraph.dump(g, args.out)
     meta_path = args.out + ".meta.json"
-    with open(meta_path, "w", encoding="ascii") as fh:
-        json.dump(_jsonable(meta), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        digraph.dump(g, args.out)
+        with open(meta_path, "w", encoding="ascii") as fh:
+            json.dump(_jsonable(meta), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write output: {exc}") from None
     payload = {
         "command": "gen",
         "family": args.family,
@@ -164,7 +167,7 @@ def _load_preserver(path: str) -> list[int]:
     try:
         with open(path, "r", encoding="ascii") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read preserver file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"bad preserver JSON: {exc}") from None
@@ -217,7 +220,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hierarchy(args) -> int:
     g = _load_graph(args.graph)
-    params = HierarchyParams(q=args.q, k=args.k, phi=Fraction(args.phi))
+    try:
+        phi = Fraction(args.phi)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--phi must be a fraction, got {args.phi!r}") from None
+    params = HierarchyParams(q=args.q, k=args.k, phi=phi)
     hierarchy = build_hierarchy(g, params, verify_certificates=not args.no_verify)
     payload = {
         "command": "hierarchy",

@@ -19,9 +19,6 @@ from typing import Iterable
 
 from .errors import InputError
 
-FaultSet = frozenset  # a set of edge ids, |F| <= k in context
-
-
 @dataclass(frozen=True)
 class Edge:
     id: int
@@ -89,9 +86,6 @@ class DiGraph:
         except KeyError:
             raise InputError(f"unknown edge id {edge_id}") from None
 
-    def has_edge_id(self, edge_id: int) -> bool:
-        return edge_id in self._by_id
-
     def edge_ids(self) -> frozenset:
         return frozenset(self._by_id)
 
@@ -102,9 +96,6 @@ class DiGraph:
     def in_edges(self, v: int) -> tuple[Edge, ...]:
         self._check_vertex(v)
         return self._in[v]
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):

@@ -333,30 +333,40 @@ def _merge_bottom(stacks: list[list[set]]) -> list[set]:
     return merged
 
 
-def _certify(g, levels, params, verify) -> tuple[LevelCertificate, ...]:
-    certs = []
+def hierarchy_pieces(g: DiGraph, levels):
+    """Yield (level, component, terminals) for every piece of a hierarchy.
+
+    Level i (1-based) is paired with every SCC of the graph induced by the
+    prefix V_1 .. V_i; the terminals are that component's members at level
+    i and may be empty.  Components come in ``scc`` order.
+    """
     prefix: set = set()
     for i, level in enumerate(levels, start=1):
         prefix |= level
         sub, to_parent = g.induced(prefix)
         for comp in scc(sub).components:
             component = frozenset(to_parent[v] for v in comp)
-            terminals = component & level
-            if not terminals:
-                continue
-            flag = None
-            if verify:
-                csub, c_to_parent = g.induced(component)
-                local = {c_to_parent.index(v) for v in terminals}
-                flag = is_unbreakable(csub, local, params.q, params.k).unbreakable
-            certs.append(
-                LevelCertificate(
-                    level=i,
-                    component=component,
-                    terminals=frozenset(terminals),
-                    unbreakable=flag,
-                    q=params.q,
-                    k=params.k,
-                )
+            yield i, component, component & level
+
+
+def _certify(g, levels, params, verify) -> tuple[LevelCertificate, ...]:
+    certs = []
+    for i, component, terminals in hierarchy_pieces(g, levels):
+        if not terminals:
+            continue
+        flag = None
+        if verify:
+            csub, c_to_parent = g.induced(component)
+            local = {c_to_parent.index(v) for v in terminals}
+            flag = is_unbreakable(csub, local, params.q, params.k).unbreakable
+        certs.append(
+            LevelCertificate(
+                level=i,
+                component=component,
+                terminals=terminals,
+                unbreakable=flag,
+                q=params.q,
+                k=params.k,
             )
+        )
     return tuple(certs)

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, log, sqrt
 
-from .digraph import DiGraph, scc
+from .digraph import DiGraph
 from .errors import InputError
-from .expander import HierarchyParams, build_hierarchy
+from .expander import HierarchyParams, build_hierarchy, hierarchy_pieces
 from .impcut import OK, important_cut_container
 from .preservers import PreserverResult, is_ft_critical, sscp
 from .variants import VariantSpec
@@ -194,23 +194,17 @@ def fpt_container_all_pairs(
     edges: set = set()
     rows = []
     lam = 0
-    prefix: set = set()
-    for i, level in enumerate(hierarchy.levels, start=1):
-        prefix |= level
-        sub, to_parent = g.induced(prefix)
-        for comp in scc(sub).components:
-            sub_seed = rng.randrange(1 << 62)
-            component = frozenset(to_parent[v] for v in comp)
-            terminals = component & level
-            if not terminals:
-                continue
-            csub, c_to_parent = g.induced(component)
-            local_index = {v: i for i, v in enumerate(c_to_parent)}
-            local_terminals = [local_index[v] for v in terminals]
-            report = critical_edge_container(csub, local_terminals, q, k, sub_seed, cache)
-            edges |= report.edges
-            lam = max(lam, report.sample_count)
-            rows.append((i, tuple(sorted(component)), len(terminals), len(report.edges)))
+    for i, component, terminals in hierarchy_pieces(g, hierarchy.levels):
+        sub_seed = rng.randrange(1 << 62)  # drawn for terminal-free pieces too
+        if not terminals:
+            continue
+        csub, c_to_parent = g.induced(component)
+        local_index = {v: j for j, v in enumerate(c_to_parent)}
+        local_terminals = [local_index[v] for v in terminals]
+        report = critical_edge_container(csub, local_terminals, q, k, sub_seed, cache)
+        edges |= report.edges
+        lam = max(lam, report.sample_count)
+        rows.append((i, tuple(sorted(component)), len(terminals), len(report.edges)))
     return FptContainerResult(
         edges=frozenset(edges), seed=seed, levels=tuple(rows), sample_count=lam
     )

@@ -48,10 +48,6 @@ class DemandPairs:
         return best[v]
 
 
-def _lambda_k(g: DiGraph, u: int, v: int, k: int) -> int:
-    return symmetric_connectivity(g, u, v, k) if k > 0 else 0
-
-
 def demand_pairs(g: DiGraph, k: int) -> DemandPairs:
     """Maximum-spanning-tree demand pairs under clamped pairwise connectivity.
 
@@ -66,7 +62,7 @@ def demand_pairs(g: DiGraph, k: int) -> DemandPairs:
     weighted = []
     for u in range(n):
         for v in range(u + 1, n):
-            weighted.append((-_lambda_k(g, u, v, k), u, v))
+            weighted.append((-symmetric_connectivity(g, u, v, k), u, v))
     weighted.sort()
     parent = list(range(n))
 
@@ -108,9 +104,16 @@ def greedy_kconn_preserver(
     """Edge-minimal subgraph preserving min(lambda, k) for every pair.
 
     One pass in ascending edge id drops every edge whose removal keeps the
-    targets of the current graph: every pair, or with ``use_demand_pairs``
-    only the demand pairs (recomputed after every committed removal).
-    Transitivity keeps the final result a preserver of the input.
+    targets: every pair, or with ``use_demand_pairs`` only the demand pairs,
+    each with its clamped connectivity min(lambda, k).  Transitivity keeps
+    the final result a preserver of the input.
+
+    The targets are computed once, from g.  A removal is committed only
+    when every target pair keeps its clamped connectivity, and so does
+    every pair (for demand pairs, by demand-pair sufficiency); lambda never
+    rises on a subgraph, so every clamped lambda of the current graph equals
+    that of g.  The demand tree is a Kruskal run over those same weights
+    with the same tie-break, so it does not change either.
 
     A second pass would drop nothing.  Say e was kept because pair (u, v)
     fails in H - e for the then current graph H, and the final graph H' (a
@@ -123,20 +126,16 @@ def greedy_kconn_preserver(
         raise InputError("k must be nonnegative")
     kept = set(g.edge_ids())
     oracle_calls = 0
-
-    def current_targets(h: DiGraph):
-        if use_demand_pairs:
-            return demand_pairs(h, k).pairs
+    if use_demand_pairs:
+        targets = demand_pairs(g, k).pairs
+    else:
         targets = []
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                lam = _lambda_k(h, u, v, k)
+                lam = symmetric_connectivity(g, u, v, k)
                 if lam:
                     targets.append((u, v, lam))
-        return targets
-
     h = g
-    targets = current_targets(h)
     for e in g.edges:
         if e.tail != e.head:
             oracle_calls += 1
@@ -144,7 +143,6 @@ def greedy_kconn_preserver(
                 continue
         kept.discard(e.id)
         h = g.restrict_to(kept)
-        targets = current_targets(h)
     return PreserverResult(
         kept_edges=frozenset(kept),
         variant="kconn",

@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .digraph import DiGraph, scc
+from .digraph import DiGraph
 from .errors import InputError
-from .expander import HierarchyParams, build_hierarchy
+from .expander import HierarchyParams, build_hierarchy, hierarchy_pieces
 from .variants import ConnectivityOracle, CriticalityScan, VariantSpec
 
 
@@ -126,21 +126,15 @@ def hierarchy_preserver(
     hierarchy = build_hierarchy(g, params, verify_certificates=False)
     kept: set = set()
     pieces = 0
-    prefix: set = set()
-    for level in hierarchy.levels:
-        prefix |= level
-        sub, to_parent = g.induced(prefix)
-        for comp in scc(sub).components:
-            component = frozenset(to_parent[v] for v in comp)
-            terminals = component & level
-            if not terminals:
-                continue
-            csub, c_to_parent = g.induced(component)
-            local_index = {v: i for i, v in enumerate(c_to_parent)}
-            local_terminals = frozenset(local_index[v] for v in terminals)
-            piece = greedy_preserver(csub, VariantSpec.sourcewise(local_terminals), k)
-            kept |= piece.kept_edges
-            pieces += 1
+    for _, component, terminals in hierarchy_pieces(g, hierarchy.levels):
+        if not terminals:
+            continue
+        csub, c_to_parent = g.induced(component)
+        local_index = {v: i for i, v in enumerate(c_to_parent)}
+        local_terminals = frozenset(local_index[v] for v in terminals)
+        piece = greedy_preserver(csub, VariantSpec.sourcewise(local_terminals), k)
+        kept |= piece.kept_edges
+        pieces += 1
     return PreserverResult(
         kept_edges=frozenset(kept),
         variant="all_pairs",

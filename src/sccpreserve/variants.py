@@ -1,10 +1,17 @@
 """Preserver variants and the shared fault-enumeration kernel.
 
-A :class:`VariantSpec` names which pairs a preserver must protect:
-``st(s, t)``, ``single_source(s)``, ``sourcewise(U)``, ``all_pairs`` or
-``global`` (whole-graph strong connectivity).  The same spec drives both
-edge-criticality checks (greedy constructions) and exhaustive verification,
-so the per-variant connectivity state lives here.
+A k-FT preserver H of G keeps, for every fault set F of at most k edges,
+the strongly connected components of G - F.  A :class:`VariantSpec` names
+the part of that condition a preserver must keep: ``all_pairs``,
+``sourcewise(U)``, ``single_source(s)``, ``st(s, t)`` or ``global``
+(whole-graph strong connectivity).  :class:`ConnectivityOracle` reads every
+spec the same way, as roots and protected masks: each root must stay
+strongly connected with the vertices of its protected mask.  All-pairs
+roots every vertex, sourcewise roots each source, single-source and s-t
+root s (s-t protects only t), and global roots vertex 0 with one extra
+flag, since its only protected fact is that root 0's component is all of V.
+The same oracle drives both edge-criticality checks (greedy constructions)
+and exhaustive verification.
 
 Fault sets are enumerated in colexicographic edge-id order, which equals
 ascending order of the subset bitmask: the empty set first, then subsets by
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import DiGraph, reach_mask, scc_masks, set_to_mask
+from .digraph import DiGraph, reach_mask
 from .errors import InputError
 
 ALL_PAIRS = "all_pairs"
@@ -100,25 +107,45 @@ def fault_sets_colex(edge_ids, k: int):
 
 
 class ConnectivityOracle:
-    """Variant-aware connectivity snapshots of g minus a banned edge set.
+    """Connectivity snapshots of g minus a banned edge set, for one variant.
 
-    ``state(active, fault)`` summarizes exactly the connectivity facts the
-    variant cares about; ``changed`` asks whether dropping one more edge
-    breaks a pair that the baseline state still connects.  States of
-    subgraphs only ever lose connectivity, so "some protected pair broke"
-    is the same as "the state differs".
+    ``__init__`` turns the spec into data, and every other method is one
+    code path over it:
+
+    * ``roots``: every vertex for all-pairs, the sorted sources for
+      sourcewise, s for single-source and s-t, vertex 0 for global (no root
+      when n = 0);
+    * ``protected``: one mask per root, the vertices that must stay strongly
+      connected with it: every other vertex, or only t for s-t;
+    * ``whole``: set for global, whose single protected fact is that root
+      0's component is all of V.
+
+    ``state(active, fault)`` is the tuple of the roots' SCC masks.  States
+    of subgraphs only ever lose connectivity: each mask can only shrink.
     """
 
     def __init__(self, g: DiGraph, spec: VariantSpec):
         spec.validate(g)
         self.g = g
-        self.spec = spec
-        self.n = g.n
+        self.n = n = g.n
         self.edges = tuple((e.id, e.tail, e.head) for e in g.edges)
-        self.full = (1 << g.n) - 1
-        if spec.kind == SOURCEWISE:
-            self.source_list = tuple(sorted(spec.sources))
-            self.source_mask = set_to_mask(spec.sources)
+        self.ends = {eid: (1 << tail) | (1 << head) for eid, tail, head in self.edges}
+        self.full = (1 << n) - 1
+        if spec.kind == ALL_PAIRS:
+            roots = tuple(range(n))
+        elif spec.kind == SOURCEWISE:
+            roots = tuple(sorted(spec.sources))
+        elif spec.kind == GLOBAL:
+            roots = (0,) if n else ()
+        else:
+            roots = (spec.s,)
+        self.roots = roots
+        self.root_bits = tuple(1 << r for r in roots)
+        if spec.kind == ST:
+            self.protected = (1 << spec.t,)
+        else:
+            self.protected = tuple(self.full & ~bit for bit in self.root_bits)
+        self.whole = spec.kind == GLOBAL
 
     def _adj(self, active, fault):
         n = self.n
@@ -131,122 +158,72 @@ class ConnectivityOracle:
         return adj, inn
 
     def state(self, active, fault=frozenset()):
-        kind = self.spec.kind
-        adj, inn = self._adj(active, fault)
-        if kind == ALL_PAIRS:
-            return tuple(scc_masks(adj))
-        if kind == SINGLE_SOURCE:
-            s = 1 << self.spec.s
-            return (reach_mask(adj, s), reach_mask(inn, s))
-        if kind == ST:
-            s = 1 << self.spec.s
-            return (reach_mask(adj, s), reach_mask(inn, s))
-        if kind == GLOBAL:
-            if self.n <= 1:
-                return (self.full, self.full)
-            return (reach_mask(adj, 1), reach_mask(inn, 1))
-        if kind == SOURCEWISE:
-            return tuple(
-                (reach_mask(adj, 1 << u), reach_mask(inn, 1 << u))
-                for u in self.source_list
-            )
-        raise AssertionError(kind)
+        """The roots' SCC masks, each the meet of out-reach and in-reach.
 
-    def connected(self, state) -> bool:
-        """Whether the variant's protected pairs are intact in this state.
-
-        Only meaningful for ``st`` (the pair is connected) and ``global``
-        (the graph is strongly connected); other kinds are partition-valued.
+        Strong connectivity is an equivalence, so a root that lies in an
+        earlier root's component has that same component and reuses it.
         """
-        kind = self.spec.kind
-        if kind == ST:
-            rs, rts = state
-            t = 1 << self.spec.t
-            return bool(rs & t) and bool(rts & t)
-        if kind == GLOBAL:
-            rs, rts = state
-            return rs == self.full and rts == self.full
-        raise InputError(f"connected() undefined for {kind}")
+        adj, inn = self._adj(active, fault)
+        comps = []
+        for bit in self.root_bits:
+            for comp in comps:
+                if comp & bit:
+                    break
+            else:
+                comp = reach_mask(adj, bit) & reach_mask(inn, bit)
+            comps.append(comp)
+        return tuple(comps)
 
     def changed(self, base_state, active, fault, removed: int) -> bool:
-        """Does removing ``removed`` on top of ``fault`` break a protected pair?"""
-        kind = self.spec.kind
-        e = self.g.edge(removed)
-        tail_bit = 1 << e.tail
-        head_bit = 1 << e.head
-        if kind == SINGLE_SOURCE:
-            rs, rts = base_state
-            if not (rs & tail_bit) and not (rts & head_bit):
-                return False
-            new = self.state(active, _with(fault, removed))
-            return (rs & rts) != (new[0] & new[1])
-        if kind == ST:
-            rs, rts = base_state
-            t = 1 << self.spec.t
-            if not ((rs & t) and (rts & t)):
-                return False  # pair already broken in the baseline
-            if not (rs & tail_bit) and not (rts & head_bit):
-                return False
-            new = self.state(active, _with(fault, removed))
-            return not ((new[0] & t) and (new[1] & t))
-        if kind == GLOBAL:
-            if not self.connected(base_state):
-                return False
-            new = self.state(active, _with(fault, removed))
-            return not self.connected(new)
-        if kind == SOURCEWISE:
-            touched = any(
-                (rs & tail_bit) or (rts & head_bit) for rs, rts in base_state
-            )
-            if not touched:
-                return False
-            new = self.state(active, _with(fault, removed))
-            for (rs, rts), (nrs, nrts) in zip(base_state, new):
-                if (rs & rts) != (nrs & nrts):
-                    return True
+        """Does removing ``removed`` on top of ``fault`` break a protected fact?
+
+        Prune: removing an edge can shrink a root's component only if both
+        of its ends are in that component.  A vertex v leaves the component
+        of root r only if every closed walk through r and v uses the edge;
+        such a walk exists, and every vertex on it, both ends of the edge
+        included, is in the component.  So unless some root's component
+        holds both ends and a protected vertex, nothing breaks; an s-t pair
+        that is already broken answers at once.  Under global, nothing
+        breaks unless the baseline component is all of V.
+        """
+        if self.whole and base_state[0] != self.full:
             return False
-        # all_pairs
-        new = self.state(active, _with(fault, removed))
-        return base_state != new
+        both = self.ends[removed]
+        for comp, protected in zip(base_state, self.protected):
+            if comp & both == both and comp & protected:
+                break
+        else:
+            return False
+        return self.breaks(base_state, self.state(active, _with(fault, removed)))
 
     # -- verification helpers (graph vs. subgraph under the same faults) --
 
-    def first_broken_pair(self, state_g, state_h):
-        """Row-major first pair strongly connected in G-F but not in H-F."""
-        kind = self.spec.kind
-        if kind == ALL_PAIRS:
-            for s in range(self.n):
-                diff = state_g[s] & ~state_h[s] & ~(1 << s)
-                if diff:
-                    return (s, _low_bit(diff))
-            return None
-        if kind == SOURCEWISE:
-            for idx, u in enumerate(self.source_list):
-                rg, rtg = state_g[idx]
-                rh, rth = state_h[idx]
-                diff = (rg & rtg) & ~(rh & rth) & ~(1 << u)
-                if diff:
-                    return (u, _low_bit(diff))
-            return None
-        if kind == SINGLE_SOURCE:
-            rg, rtg = state_g
-            rh, rth = state_h
-            s = self.spec.s
-            diff = (rg & rtg) & ~(rh & rth) & ~(1 << s)
-            if diff:
-                return (s, _low_bit(diff))
-            return None
-        if kind == ST:
-            if self.connected(state_g) and not self.connected(state_h):
-                return (self.spec.s, self.spec.t)
-            return None
-        raise AssertionError(kind)
-
     def breaks(self, state_g, state_h) -> bool:
         """Whether H-F lost a protected connectivity fact that G-F still has."""
-        if self.spec.kind == GLOBAL:
-            return self.connected(state_g) and not self.connected(state_h)
-        return self.first_broken_pair(state_g, state_h) is not None
+        if state_g == state_h:
+            return False
+        if self.whole:
+            return state_g[0] == self.full
+        for comp_g, comp_h, protected in zip(state_g, state_h, self.protected):
+            if comp_g & ~comp_h & protected:
+                return True
+        return False
+
+    def first_broken_pair(self, state_g, state_h):
+        """Row-major first pair strongly connected in G-F but not in H-F.
+
+        The pair is (root, lowest protected vertex the root lost); None
+        under global, which protects no single pair.
+        """
+        if self.whole:
+            return None
+        for root, comp_g, comp_h, protected in zip(
+            self.roots, state_g, state_h, self.protected
+        ):
+            lost = comp_g & ~comp_h & protected
+            if lost:
+                return (root, _low_bit(lost))
+        return None
 
     def first_counterexample(self, kept, faults, edges_of=None):
         """First item of ``faults`` under which g[kept] loses a protected fact.
@@ -262,11 +239,8 @@ class ConnectivityOracle:
             fault = item if edges_of is None else edges_of(item)
             state_g = self.state(active_g, fault)
             state_h = self.state(kept, fault)
-            if not self.breaks(state_g, state_h):
-                continue
-            if self.spec.kind == GLOBAL:
-                return item, None
-            return item, self.first_broken_pair(state_g, state_h)
+            if self.breaks(state_g, state_h):
+                return item, self.first_broken_pair(state_g, state_h)
         return None
 
 
@@ -310,11 +284,8 @@ class CriticalityScan:
 
         None for the global variant, which protects no single pair.
         """
-        oracle = self.oracle
-        if oracle.spec.kind == GLOBAL:
-            return None
-        after = oracle.state(self.active, _with(fault, eid))
-        return oracle.first_broken_pair(self._base(fault), after)
+        after = self.oracle.state(self.active, _with(fault, eid))
+        return self.oracle.first_broken_pair(self._base(fault), after)
 
     def remove(self, eid: int) -> None:
         self.active.discard(eid)

@@ -76,7 +76,7 @@ def verify_kconn(g: DiGraph, kept_edges, k: int) -> VerifyResult:
     h = g.restrict_to(kept)
     for s in range(g.n):
         for t in range(s + 1, g.n):
-            want = symmetric_connectivity(g, s, t, k) if k > 0 else 0
+            want = symmetric_connectivity(g, s, t, k)
             if want == 0:
                 continue
             got = symmetric_connectivity(h, s, t, k)
@@ -180,7 +180,7 @@ def verify_kconn_by_cuts(
         key = (min(s, t), max(s, t))
         lam = lam_cache.get(key)
         if lam is None:
-            lam = symmetric_connectivity(g, key[0], key[1], k) if k > 0 else 0
+            lam = symmetric_connectivity(g, key[0], key[1], k)
             lam_cache[key] = lam
         if len(boundary & kept) < lam:
             return False

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sccpreserve.cli import main
 from sccpreserve.digraph import dump, load
 from sccpreserve.families import gen_random
@@ -159,6 +161,35 @@ def test_hierarchy_phi_too_large_is_input_error(tmp_path, capsys):
     )
     assert code == 2
     assert "phi" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hierarchy", "--graph", "{g}", "-q", "2", "-k", "1", "--phi", "abc"),
+        ("hierarchy", "--graph", "{g}", "-q", "2", "-k", "1", "--phi", "1/0"),
+        ("build", "--graph", "{bad}", "-k", "1"),
+        ("verify", "--graph", "{bad}", "--preserver", "{p}", "-k", "1"),
+        ("verify", "--graph", "{g}", "--preserver", "{bad}", "-k", "1"),
+        ("gen", "random", "-o", "{missing}"),
+    ],
+    ids=["phi-text", "phi-zero-denominator", "build-non-ascii-graph",
+         "verify-non-ascii-graph", "verify-non-ascii-preserver", "gen-missing-dir"],
+)
+def test_bad_input_exits_two(tmp_path, capsys, argv):
+    paths = {
+        "g": tmp_path / "g.txt",
+        "bad": tmp_path / "bad.txt",
+        "p": tmp_path / "p.json",
+        "missing": tmp_path / "missing_dir" / "g.txt",
+    }
+    g = gen_random(5, 8, 0, ensure_strongly_connected=True)
+    dump(g, str(paths["g"]))
+    paths["bad"].write_bytes(b"5 1\n0 1 \xe9\n")
+    paths["p"].write_text(json.dumps(sorted(g.edge_ids())))
+    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_hierarchy_json(tmp_path, capsys):
