@@ -9,9 +9,13 @@ respect to U x V; at desk scale, where U fits inside the deterministic
 slice entirely, containment is unconditional.
 
 All randomness flows from one recorded seed, so identical inputs give
-identical outputs.  A :class:`FptCache` can be shared across calls to reuse
-single-source preservers and important-cut containers keyed by graph
-content; caching never changes any result.
+identical outputs.  A :class:`FptCache` can be shared across calls.  It
+reuses a single-source preserver S = sscp(G, u, k) for every graph G' with
+S <= G' <= G, where greedy provably returns S again.  In the decremental
+loop of :func:`fpt_preserver` the removed edge lies outside the container,
+which holds every S it was built from, so most lookups reuse.  Important-cut
+container sides are memoized by graph content.  Caching never changes any
+result.
 """
 
 from __future__ import annotations
@@ -31,18 +35,50 @@ from .variants import VariantSpec
 
 @dataclass
 class FptCache:
-    """Content-keyed memo for the expensive container ingredients."""
+    """Memo for the expensive container ingredients.
 
-    sscp_edges: dict = field(default_factory=dict)
+    Single-source preservers are kept one per (scope, u, k), where the scope
+    is the tuple of parent vertices of the piece g (``c_to_parent`` of an
+    induced subgraph; g's own vertices by default).  An entry holds the
+    edge records of S = sscp(G, u, k) and of the host G it was computed on,
+    and answers for a graph g exactly when S <= E(g) <= E(G).  Records are
+    compared whole (id, tail, head, color), so graphs whose ids coincide but
+    whose edges differ never share an entry.  A recomputation replaces the
+    entry; g = G is the exact hit.
+
+    The reuse is exact: greedy sscp(G', u, k) = S whenever S <= G' <= G.
+    Let e_1 < e_2 < ... be the edge ids of G and H_i the greedy graph on G
+    before e_i is scanned; H'_i is the run on G' (edges outside G' are
+    skipped).  By induction S <= H'_i <= H_i <= G.  S is a k-FT preserver
+    of G, so by the sandwich lemma (a graph between S - F and G - F has
+    their connectivity) it preserves H_i and H'_i.  If e_i is not in S,
+    S <= H'_i - e_i, so H'_i - e_i preserves H'_i: e_i is not critical in
+    H'_i and is removed, as it was from H_i.  If e_i is in S, it was critical
+    in H_i with a witness F, a pair connected in H_i - F but not in
+    H_i - F - e_i.  As S preserves H_i, the pair is connected in
+    S - F <= H'_i - F, and it is not in H'_i - F - e_i <= H_i - F - e_i, so
+    F & E(H'_i) witnesses e_i in H'_i and e_i is kept.  The run on G'
+    therefore ends at S.
+
+    Important-cut container sides are memoized by graph signature.
+    """
+
+    sscp_entries: dict = field(default_factory=dict)
     containers: dict = field(default_factory=dict)
 
-    def sscp_for(self, g: DiGraph, u: int, k: int) -> frozenset:
-        key = (g.signature(), u, k)
-        hit = self.sscp_edges.get(key)
-        if hit is None:
-            hit = sscp(g, u, k).kept_edges
-            self.sscp_edges[key] = hit
-        return hit
+    def sscp_for(
+        self, g: DiGraph, u: int, k: int, scope: tuple | None = None
+    ) -> frozenset:
+        key = (tuple(range(g.n)) if scope is None else scope, u, k)
+        records = frozenset(g.edges)
+        entry = self.sscp_entries.get(key)
+        if entry is not None:
+            kept, kept_records, host_records = entry
+            if kept_records <= records <= host_records:
+                return kept
+        kept = sscp(g, u, k).kept_edges
+        self.sscp_entries[key] = (kept, frozenset(g.edge(i) for i in kept), records)
+        return kept
 
     def container_side(self, g, x, y_set, k, direction):
         key = (g.signature(), x, y_set, k, direction)
@@ -76,7 +112,13 @@ class CriticalContainerReport:
 
 
 def critical_edge_container(
-    g: DiGraph, terminals, q: int, k: int, seed: int, cache: FptCache | None = None
+    g: DiGraph,
+    terminals,
+    q: int,
+    k: int,
+    seed: int,
+    cache: FptCache | None = None,
+    scope: tuple | None = None,
 ) -> CriticalContainerReport:
     """Edge set containing (whp) every edge k-fault critical w.r.t. U x V.
 
@@ -84,7 +126,12 @@ def critical_edge_container(
     first min(5q^2, |U|) terminals, lam = ceil(50 ln n) sampled q-subsets
     Q_j, per-vertex terminal sets from important-cut containers toward the
     samples, then per-terminal containers at budget k+1.  When |U| < q the
-    samples degenerate to U itself.
+    samples degenerate to U itself.  ``scope`` names g's vertices in a
+    larger graph (see :class:`FptCache`).
+
+    Raises :class:`InputError` when some vertex collects more than
+    2 * lambda * q terminals: the terminal set is not unbreakable enough
+    for the sampling bound.
     """
     if q < 1:
         raise InputError("q must be positive")
@@ -103,7 +150,7 @@ def critical_edge_container(
     slice_size = min(5 * q * q, len(U))
     j_edges: set = set()
     for u in U[:slice_size]:
-        j_edges |= cache.sscp_for(g, u, k)
+        j_edges |= cache.sscp_for(g, u, k, scope)
 
     lam = sample_count(g.n)
     samples = []
@@ -130,7 +177,7 @@ def critical_edge_container(
                 union_side |= side
         terminals_v = frozenset(union_side & u_set)
         if len(terminals_v) > bound:
-            raise AssertionError(
+            raise InputError(
                 f"|U_i|={len(terminals_v)} exceeds 2*lambda*q={bound}; "
                 "terminal set was not unbreakable enough"
             )
@@ -201,7 +248,9 @@ def fpt_container_all_pairs(
         csub, c_to_parent = g.induced(component)
         local_index = {v: j for j, v in enumerate(c_to_parent)}
         local_terminals = [local_index[v] for v in terminals]
-        report = critical_edge_container(csub, local_terminals, q, k, sub_seed, cache)
+        report = critical_edge_container(
+            csub, local_terminals, q, k, sub_seed, cache, c_to_parent
+        )
         edges |= report.edges
         lam = max(lam, report.sample_count)
         rows.append((i, tuple(sorted(component)), len(terminals), len(report.edges)))

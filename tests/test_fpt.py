@@ -1,7 +1,11 @@
 import math
 import random
 
+import pytest
+
+from sccpreserve import fpt
 from sccpreserve.digraph import DiGraph
+from sccpreserve.errors import InputError
 from sccpreserve.families import gen_random
 from sccpreserve.fpt import (
     FptCache,
@@ -11,6 +15,7 @@ from sccpreserve.fpt import (
     fpt_preserver,
     sample_count,
 )
+from sccpreserve.preservers import sscp
 from sccpreserve.variants import VariantSpec
 from sccpreserve.verify import enumerate_critical_edges, verify_ft
 
@@ -31,6 +36,15 @@ def test_container_cycle_contains_everything():
     assert report.j_union > 0
     assert all(len(u) <= 2 * report.sample_count * 2 for u in
                report.per_vertex_terminals.values())
+
+
+def test_container_terminal_bound_is_input_error(monkeypatch):
+    # one sample makes the bound 2*lambda*q = 2, which a dense terminal set
+    # exceeds: the caller's terminals are not unbreakable enough
+    monkeypatch.setattr(fpt, "sample_count", lambda n: 1)
+    g = gen_random(7, 20, 39, ensure_strongly_connected=True)
+    with pytest.raises(InputError, match="unbreakable"):
+        critical_edge_container(g, range(7), 1, 1, seed=39)
 
 
 def test_container_report_fields():
@@ -113,7 +127,88 @@ def test_fpt_preserver_deterministic():
     second = fpt_preserver(g, 1, seed=7, cache=FptCache())
     assert first.kept_edges == second.kept_edges
     assert first.stats == second.stats
+    # one warm cache shared across seeds, k and graphs of the same n
+    warm = FptCache()
+    for graph_seed in (77, 78, 79):
+        h = gen_random(7, 16, graph_seed, ensure_strongly_connected=True)
+        for k in (1, 2):
+            for seed in (7, 8):
+                fresh = fpt_preserver(h, k, seed=seed)
+                shared = fpt_preserver(h, k, seed=seed, cache=warm)
+                assert shared.kept_edges == fresh.kept_edges
+                assert shared.stats == fresh.stats
 
+
+class CheckedCache(FptCache):
+    """FptCache whose every sscp answer is checked against a fresh run."""
+
+    lookups = 0
+
+    def sscp_for(self, g, u, k, scope=None):
+        kept = super().sscp_for(g, u, k, scope)
+        assert kept == sscp(g, u, k).kept_edges, (g.signature(), u, k, scope)
+        self.lookups += 1
+        return kept
+
+
+def count_sscp_runs(monkeypatch) -> list:
+    runs = []
+
+    def counted(g, u, k):
+        runs.append((g.n, u, k))
+        return sscp(g, u, k)
+
+    monkeypatch.setattr(fpt, "sscp", counted)
+    return runs
+
+
+def test_sscp_reuse_equals_fresh_runs(monkeypatch):
+    runs = count_sscp_runs(monkeypatch)
+    rng = random.Random(45)
+    cache = CheckedCache()
+    for trial in range(6):
+        g = gen_random(rng.randrange(5, 8), rng.randrange(10, 18), 1500 + trial,
+                       ensure_strongly_connected=True)
+        for k in (1, 2):
+            fpt_preserver(g, k, seed=trial, cache=cache)
+    assert 0 < len(runs) < cache.lookups / 2  # most answers were reused
+
+
+def test_sscp_cache_compares_edge_records(monkeypatch):
+    # same n and edge ids, different endpoints: no entry may answer
+    runs = count_sscp_runs(monkeypatch)
+    pairs = [(DiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 0)]),
+              DiGraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]))]
+    pairs += [(gen_random(6, 12, s), gen_random(6, 12, s + 100)) for s in range(8)]
+    for first, second in pairs:
+        assert first.edge_ids() == second.edge_ids() and first != second
+        for k in (0, 1):
+            cache = FptCache()
+            for u in range(first.n):
+                cache.sscp_for(first, u, k)
+            del runs[:]
+            for u in range(second.n):
+                assert cache.sscp_for(second, u, k) == sscp(second, u, k).kept_edges
+            assert len(runs) == second.n
+
+
+def test_sscp_cache_answers_only_inside_the_sandwich(monkeypatch):
+    runs = count_sscp_runs(monkeypatch)
+    g = gen_random(6, 14, 5, ensure_strongly_connected=True)
+    for k in (1, 2):
+        cache = FptCache()
+        kept = cache.sscp_for(g, 0, k)
+        del runs[:]
+        for eid in sorted(g.edge_ids() - kept):  # S <= g - e <= g: reused
+            assert cache.sscp_for(g.remove_edges([eid]), 0, k) == kept
+        assert not runs
+        outside = [g.remove_edges([eid]) for eid in sorted(kept)]
+        for h in outside + [g.add_edges([(0, 3)])]:
+            cache = FptCache()
+            cache.sscp_for(g, 0, k)
+            del runs[:]
+            assert cache.sscp_for(h, 0, k) == sscp(h, 0, k).kept_edges
+            assert len(runs) == 1
 
 def test_fpt_preserver_oracle_checked_removals():
     rng = random.Random(3)
@@ -134,3 +229,4 @@ def test_fpt_preserver_outputs_sound_random():
         for k in (1, 2):
             res = fpt_preserver(g, k, seed=trial, cache=cache)
             assert verify_ft(g, res.kept_edges, VariantSpec.all_pairs(), k).ok
+

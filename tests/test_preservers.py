@@ -4,6 +4,7 @@ import pytest
 
 from sccpreserve.digraph import DiGraph, scc
 from sccpreserve.errors import CapabilityError
+from sccpreserve.expander import HierarchyParams, build_hierarchy
 from sccpreserve.families import gen_baswana_tree, gen_random, gen_st_lower
 from sccpreserve.preservers import (
     global_from_single_source,
@@ -119,6 +120,22 @@ def test_greedy_minimal_on_multigraphs_all_variants():
                     )
 
 
+def test_sscp_unchanged_on_sandwiched_subgraphs():
+    # the FptCache reuse lemma: with S = sscp(G, u, k), greedy returns S on
+    # every G' with S <= G' <= G, also on multigraphs with self-loops,
+    # parallel edges and several SCCs
+    rng = random.Random(83)
+    for trial in range(8):
+        g = loopy_multigraph(rng, rng.randrange(3, 7))
+        for k in (0, 1, 2):
+            u = rng.randrange(g.n)
+            kept = sscp(g, u, k).kept_edges
+            rest = sorted(g.edge_ids() - kept)
+            for _ in range(4):
+                sub = g.restrict_to(kept | {e for e in rest if rng.random() < 0.5})
+                assert sscp(sub, u, k).kept_edges == kept, (trial, k, u)
+
+
 def test_greedy_capability_guard():
     g = gen_random(8, 20, 0, ensure_strongly_connected=True)
     with pytest.raises(CapabilityError):
@@ -163,6 +180,17 @@ def test_monotone_variants_all_pairs_satisfies_all():
 def test_hierarchy_preserver_random_sound():
     for trial in range(10):
         g = gen_random(7, 15, 70 + trial, ensure_strongly_connected=True)
+        res = hierarchy_preserver(g, 1)
+        assert verify_ft(g, res.kept_edges, VariantSpec.all_pairs(), 1).ok
+
+
+def test_hierarchy_preserver_sound_past_exact_cut_limit():
+    # n = 20 is past the default exact sparse-cut limit: the hierarchy is
+    # heuristic, and the preserver must still verify
+    for trial in range(4):
+        g = gen_random(20, 36, 2000 + trial, ensure_strongly_connected=True)
+        params = HierarchyParams(q=2, k=1)  # hierarchy_preserver's default at k = 1
+        assert not build_hierarchy(g, params, verify_certificates=False).exact
         res = hierarchy_preserver(g, 1)
         assert verify_ft(g, res.kept_edges, VariantSpec.all_pairs(), 1).ok
 
