@@ -35,7 +35,7 @@ class DiGraph:
     0..m-1 in input order; derived subgraphs keep their parent's ids.
     """
 
-    __slots__ = ("n", "edges", "_by_id", "_out", "_in", "_key")
+    __slots__ = ("n", "edges", "_by_id", "_out", "_in", "_key", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple] = (), *, _records=None):
         if n < 0:
@@ -70,6 +70,7 @@ class DiGraph:
         object.__setattr__(self, "_out", tuple(tuple(es) for es in out))
         object.__setattr__(self, "_in", tuple(tuple(es) for es in inc))
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiGraph is immutable")
@@ -115,7 +116,13 @@ class DiGraph:
         return self.signature() == other.signature()
 
     def __hash__(self):
-        return hash(self.signature())
+        # Cached: a tuple does not cache its hash, and caches look graphs up
+        # many times; the graph is immutable, so the value never goes stale.
+        h = self._hash
+        if h is None:
+            h = hash(self.signature())
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"DiGraph(n={self.n}, m={self.m})"

@@ -14,8 +14,8 @@ reuses a single-source preserver S = sscp(G, u, k) for every graph G' with
 S <= G' <= G, where greedy provably returns S again.  In the decremental
 loop of :func:`fpt_preserver` the removed edge lies outside the container,
 which holds every S it was built from, so most lookups reuse.  Important-cut
-container sides are memoized by graph content.  Caching never changes any
-result.
+container sides and expander hierarchies are memoized by graph content.
+Caching never changes any result.
 """
 
 from __future__ import annotations
@@ -60,11 +60,15 @@ class FptCache:
     F & E(H'_i) witnesses e_i in H'_i and e_i is kept.  The run on G'
     therefore ends at S.
 
-    Important-cut container sides are memoized by graph signature.
+    Important-cut container sides and expander hierarchies are memoized by
+    graph content: a graph hashes and compares by its signature, so only an
+    identical graph hits.  Both computations are deterministic functions of
+    the graph and their other arguments.
     """
 
     sscp_entries: dict = field(default_factory=dict)
     containers: dict = field(default_factory=dict)
+    hierarchies: dict = field(default_factory=dict)
 
     def sscp_for(
         self, g: DiGraph, u: int, k: int, scope: tuple | None = None
@@ -80,8 +84,16 @@ class FptCache:
         self.sscp_entries[key] = (kept, frozenset(g.edge(i) for i in kept), records)
         return kept
 
+    def hierarchy(self, g: DiGraph, params: HierarchyParams):
+        key = (g, params)
+        hit = self.hierarchies.get(key)
+        if hit is None:
+            hit = build_hierarchy(g, params, verify_certificates=False)
+            self.hierarchies[key] = hit
+        return hit
+
     def container_side(self, g, x, y_set, k, direction):
-        key = (g.signature(), x, y_set, k, direction)
+        key = (g, x, y_set, k, direction)
         hit = self.containers.get(key)
         if hit is None:
             res = important_cut_container(g, [x], y_set, k, direction)
@@ -236,7 +248,7 @@ def fpt_container_all_pairs(
     params = HierarchyParams(
         q=max(q, ceil(kh / Fraction(1, 2))), k=kh, phi=Fraction(1, 2)
     )
-    hierarchy = build_hierarchy(g, params, verify_certificates=False)
+    hierarchy = cache.hierarchy(g, params)
     rng = random.Random(seed)
     edges: set = set()
     rows = []

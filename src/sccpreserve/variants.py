@@ -13,6 +13,16 @@ flag, since its only protected fact is that root 0's component is all of V.
 The same oracle drives both edge-criticality checks (greedy constructions)
 and exhaustive verification.
 
+Every check runs over a fixed active edge set while the fault changes:
+the active set changes at most m times per scan, the fault once per fault
+set.  So the oracle binds an active set once into an :class:`EdgeView`
+(its adjacency masks, plus how to drop each edge), and a state under a
+fault copies those masks and clears at most |F| bits.  On top of the view,
+two exact prunes skip work: :meth:`ConnectivityOracle.changed` recomputes
+only the one component that can break, and
+:meth:`ConnectivityOracle.first_counterexample` computes the subgraph's
+state first and skips the graph's when nothing can be lost.
+
 Fault sets are enumerated in colexicographic edge-id order, which equals
 ascending order of the subset bitmask: the empty set first, then subsets by
 largest member.  Every "first witness" and "first counterexample" in the
@@ -25,6 +35,7 @@ break a protected pair?) and :meth:`ConnectivityOracle.first_counterexample`
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .digraph import DiGraph, reach_mask
 from .errors import InputError
@@ -106,8 +117,22 @@ def fault_sets_colex(edge_ids, k: int):
     return rec(len(ids), k)
 
 
+class EdgeView(NamedTuple):
+    """The masks of one active edge set, ready to lose a fault's edges.
+
+    ``out``/``inn`` are the out- and in-neighbour masks of g[active] with
+    self-loops skipped; ``drop`` maps each active non-loop edge id to
+    ``(tail, head, twins)``, where ``twins`` are the other active edges
+    from the same tail to the same head.
+    """
+
+    out: tuple
+    inn: tuple
+    drop: dict
+
+
 class ConnectivityOracle:
-    """Connectivity snapshots of g minus a banned edge set, for one variant.
+    """Connectivity of an active edge set minus a fault, for one variant.
 
     ``__init__`` turns the spec into data, and every other method is one
     code path over it:
@@ -120,7 +145,11 @@ class ConnectivityOracle:
     * ``whole``: set for global, whose single protected fact is that root
       0's component is all of V.
 
-    ``state(active, fault)`` is the tuple of the roots' SCC masks.  States
+    An active edge set is bound once, with :meth:`bind`, into an
+    :class:`EdgeView`; ``state(view, fault)`` is then the tuple of the
+    roots' SCC masks in g[active] - fault.  It copies the view's two masks
+    and clears the bits of the faulted edges, so a state costs O(n + |F|)
+    before the reachability search, not a walk over all m edges.  States
     of subgraphs only ever lose connectivity: each mask can only shrink.
     """
 
@@ -128,8 +157,7 @@ class ConnectivityOracle:
         spec.validate(g)
         self.g = g
         self.n = n = g.n
-        self.edges = tuple((e.id, e.tail, e.head) for e in g.edges)
-        self.ends = {eid: (1 << tail) | (1 << head) for eid, tail, head in self.edges}
+        self.ends = {e.id: (1 << e.tail) | (1 << e.head) for e in g.edges}
         self.full = (1 << n) - 1
         if spec.kind == ALL_PAIRS:
             roots = tuple(range(n))
@@ -147,54 +175,99 @@ class ConnectivityOracle:
             self.protected = tuple(self.full & ~bit for bit in self.root_bits)
         self.whole = spec.kind == GLOBAL
 
-    def _adj(self, active, fault):
-        n = self.n
-        adj = [0] * n
-        inn = [0] * n
-        for eid, tail, head in self.edges:
-            if eid in active and eid not in fault:
-                adj[tail] |= 1 << head
-                inn[head] |= 1 << tail
-        return adj, inn
+    def bind(self, active) -> EdgeView:
+        """The :class:`EdgeView` of g[active]; ids outside g are ignored.
 
-    def state(self, active, fault=frozenset()):
+        Parallel edges share one mask bit, so an edge may clear its bit only
+        when every active twin is faulted too: the pair (tail, head) stays
+        adjacent in g[active] - F while any of its active edges survives.
+        """
+        n = self.n
+        out = [0] * n
+        inn = [0] * n
+        twins: dict[tuple, list] = {}
+        for e in self.g.edges:
+            if e.id in active and e.tail != e.head:
+                out[e.tail] |= 1 << e.head
+                inn[e.head] |= 1 << e.tail
+                twins.setdefault((e.tail, e.head), []).append(e.id)
+        drop = {}
+        for (tail, head), eids in twins.items():
+            for eid in eids:
+                drop[eid] = (tail, head, tuple(t for t in eids if t != eid))
+        return EdgeView(tuple(out), tuple(inn), drop)
+
+    def _masks(self, view: EdgeView, fault):
+        """Out- and in-masks of the view minus ``fault`` (any id container)."""
+        out = list(view.out)
+        inn = list(view.inn)
+        drop = view.drop
+        for eid in fault:
+            entry = drop.get(eid)
+            if entry is None:
+                continue
+            tail, head, twins = entry
+            if not twins or all(t in fault for t in twins):
+                out[tail] &= ~(1 << head)
+                inn[head] &= ~(1 << tail)
+        return out, inn
+
+    def state(self, view: EdgeView, fault=()):
         """The roots' SCC masks, each the meet of out-reach and in-reach.
 
         Strong connectivity is an equivalence, so a root that lies in an
         earlier root's component has that same component and reuses it.
         """
-        adj, inn = self._adj(active, fault)
+        out, inn = self._masks(view, fault)
         comps = []
         for bit in self.root_bits:
             for comp in comps:
                 if comp & bit:
                     break
             else:
-                comp = reach_mask(adj, bit) & reach_mask(inn, bit)
+                comp = reach_mask(out, bit) & reach_mask(inn, bit)
             comps.append(comp)
         return tuple(comps)
 
-    def changed(self, base_state, active, fault, removed: int) -> bool:
+    def changed(self, base_state, view: EdgeView, fault, removed: int) -> bool:
         """Does removing ``removed`` on top of ``fault`` break a protected fact?
+
+        ``base_state`` is ``state(view, fault)``; the answer equals
+        ``breaks(base_state, state(view, fault + (removed,)))``, but only one
+        component is recomputed.
 
         Prune: removing an edge can shrink a root's component only if both
         of its ends are in that component.  A vertex v leaves the component
         of root r only if every closed walk through r and v uses the edge;
         such a walk exists, and every vertex on it, both ends of the edge
-        included, is in the component.  So unless some root's component
+        included, is in the component.  So unless some root's component C
         holds both ends and a protected vertex, nothing breaks; an s-t pair
         that is already broken answers at once.  Under global, nothing
         breaks unless the baseline component is all of V.
+
+        One component: components are disjoint, so C is the only one that
+        holds both ends, and the components of roots outside C do not
+        change.  Every root r in C shares its fate: for all-pairs and
+        sourcewise its protected mask is V - r, and r loses a vertex exactly
+        when C stops being strongly connected; single-source, s-t and global
+        have a single root (for global, C = V).  So the first root whose
+        component qualifies stands for all of them: the answer is whether
+        its new out-reach and in-reach still cover C's protected vertices,
+        and the in-reach is skipped when the out-reach already misses one.
         """
         if self.whole and base_state[0] != self.full:
             return False
         both = self.ends[removed]
-        for comp, protected in zip(base_state, self.protected):
+        for comp, protected, bit in zip(base_state, self.protected, self.root_bits):
             if comp & both == both and comp & protected:
                 break
         else:
             return False
-        return self.breaks(base_state, self.state(active, _with(fault, removed)))
+        out, inn = self._masks(view, (*fault, removed))
+        at_risk = comp & protected
+        if at_risk & ~reach_mask(out, bit):
+            return True
+        return bool(at_risk & ~reach_mask(inn, bit))
 
     # -- verification helpers (graph vs. subgraph under the same faults) --
 
@@ -233,12 +306,22 @@ class ConnectivityOracle:
         is a counterexample when H - F breaks a fact that g - F still has.
         Returns ``(item, pair)`` with the row-major first broken pair (None
         for the global variant), or None when every item passes.
+
+        g and H = g[kept] are bound once.  H - F is computed first: H - F is
+        a subgraph of g - F, so each root's component in g - F contains its
+        component in H - F.  When every root's H - F component already
+        covers its protected mask, no fact can be lost and the state of
+        g - F is skipped.
         """
-        active_g = self.g.edge_ids()
+        view_g = self.bind(self.g.edge_ids())
+        view_h = self.bind(kept)
+        protected = self.protected
         for item in faults:
             fault = item if edges_of is None else edges_of(item)
-            state_g = self.state(active_g, fault)
-            state_h = self.state(kept, fault)
+            state_h = self.state(view_h, fault)
+            if all(comp & mask == mask for comp, mask in zip(state_h, protected)):
+                continue
+            state_g = self.state(view_g, fault)
             if self.breaks(state_g, state_h):
                 return item, self.first_broken_pair(state_g, state_h)
         return None
@@ -250,13 +333,16 @@ class CriticalityScan:
     An active edge e is critical when, for some fault set F of at most k
     other active edges, dropping e from ``active - F`` breaks a protected
     pair.  Self-loops never carry connectivity and are never critical.  The
-    baseline state of ``active - F`` does not depend on e, so it is cached
-    per F and shared by every edge until :meth:`remove` shrinks the set.
+    active set is bound once into an edge view and bound again by
+    :meth:`remove`.  The baseline state of ``active - F`` does not depend
+    on e, so it is cached per F and shared by every edge until
+    :meth:`remove` shrinks the set.
     """
 
     def __init__(self, oracle: ConnectivityOracle, active, k: int):
         self.oracle = oracle
         self.active = set(active)
+        self.view = oracle.bind(self.active)
         self.k = k
         self.base_states: dict[tuple, object] = {}
         self.oracle_calls = 0  # changed() evaluations
@@ -264,7 +350,7 @@ class CriticalityScan:
     def _base(self, fault: tuple):
         state = self.base_states.get(fault)
         if state is None:
-            state = self.oracle.state(self.active, fault)
+            state = self.oracle.state(self.view, fault)
             self.base_states[fault] = state
         return state
 
@@ -275,7 +361,7 @@ class CriticalityScan:
             return None
         for fault in fault_sets_colex(self.active - {eid}, self.k):
             self.oracle_calls += 1
-            if self.oracle.changed(self._base(fault), self.active, fault, eid):
+            if self.oracle.changed(self._base(fault), self.view, fault, eid):
                 return fault
         return None
 
@@ -284,18 +370,13 @@ class CriticalityScan:
 
         None for the global variant, which protects no single pair.
         """
-        after = self.oracle.state(self.active, _with(fault, eid))
+        after = self.oracle.state(self.view, (*fault, eid))
         return self.oracle.first_broken_pair(self._base(fault), after)
 
     def remove(self, eid: int) -> None:
         self.active.discard(eid)
+        self.view = self.oracle.bind(self.active)
         self.base_states.clear()
-
-
-def _with(fault, extra: int):
-    s = set(fault)
-    s.add(extra)
-    return s
 
 
 def _low_bit(mask: int) -> int:

@@ -203,6 +203,27 @@ def first_counterexample_ref(g, kept, pairs, k, global_variant=False):
     return None
 
 
+def first_color_counterexample_ref(g, kept, k):
+    """(pair, colors) of the first color family of at most k colors, in
+    colex order of color ids, whose failure makes H = g[kept] lose an
+    all-pairs pair (row-major first) that g keeps.  None if H passes."""
+    kept = set(kept)
+    colors = sorted({e.color for e in g.edges})
+    families = sorted(
+        fault_sets_ref(colors, k), key=lambda f: sum(1 << c for c in f)
+    )
+    for family in families:
+        fault = {e.id for e in g.edges if e.color in family}
+        h_banned = fault | (set(g.edge_ids()) - kept)
+        for a in range(g.n):
+            for b in range(g.n):
+                if a != b and strongly_connected_pair_ref(g, fault, a, b) and not (
+                    strongly_connected_pair_ref(g, h_banned, a, b)
+                ):
+                    return (a, b), family
+    return None
+
+
 def unbreakable_ref(g, terminals, q, k):
     """Direct Definition check over all 2^n sides."""
     U = set(terminals)

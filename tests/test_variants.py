@@ -6,7 +6,7 @@ from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import InputError
 from sccpreserve.variants import ConnectivityOracle, VariantSpec, fault_sets_colex
 
-from conftest import loopy_multigraph
+from conftest import loopy_multigraph, variant_checks
 from oracles import scc_sets_ref
 
 
@@ -47,6 +47,27 @@ def test_variant_describe():
     }
 
 
+def _rooted_specs(rng, n):
+    """(spec, roots) for each of the five variants on n vertices."""
+    sources = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+    return (
+        (VariantSpec.all_pairs(), range(n)),
+        (VariantSpec.single_source(n - 1), [n - 1]),
+        (VariantSpec.st(n - 1, 0), [n - 1]),
+        (VariantSpec.global_(), [0]),
+        (VariantSpec.sourcewise(sources), sources),
+    )
+
+
+def _comp_masks(g, banned):
+    """Vertex -> mask of its SCC in g - banned, from the reference partition."""
+    comp_of = {}
+    for comp in scc_sets_ref(g, banned):
+        for v in comp:
+            comp_of[v] = sum(1 << w for w in comp)
+    return comp_of
+
+
 def test_state_is_root_components():
     # A state holds each root's SCC mask; a root inside an earlier root's
     # component reuses that mask.  Checked against the reference partition
@@ -56,17 +77,80 @@ def test_state_is_root_components():
         g = loopy_multigraph(rng, rng.randrange(2, 8))
         n = g.n
         fault = frozenset(rng.sample(sorted(g.edge_ids()), rng.randrange(0, 3)))
-        comp_of = {}
-        for comp in scc_sets_ref(g, fault):
-            for v in comp:
-                comp_of[v] = sum(1 << w for w in comp)
-        sources = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
-        for spec, roots in (
-            (VariantSpec.all_pairs(), range(n)),
-            (VariantSpec.single_source(n - 1), [n - 1]),
-            (VariantSpec.st(n - 1, 0), [n - 1]),
-            (VariantSpec.global_(), [0]),
-            (VariantSpec.sourcewise(sources), sources),
-        ):
-            state = ConnectivityOracle(g, spec).state(g.edge_ids(), fault)
+        comp_of = _comp_masks(g, fault)
+        for spec, roots in _rooted_specs(rng, n):
+            oracle = ConnectivityOracle(g, spec)
+            state = oracle.state(oracle.bind(g.edge_ids()), fault)
             assert state == tuple(comp_of[r] for r in roots), (spec.kind, fault)
+
+
+def _parallel_pair(g, active):
+    """Two active non-loop edges with the same tail and head, or None."""
+    seen = {}
+    for e in g.edges:
+        if e.id in active and e.tail != e.head:
+            twin = seen.setdefault((e.tail, e.head), e.id)
+            if twin != e.id:
+                return twin, e.id
+    return None
+
+
+def _faults(rng, g, active):
+    """Random faults, some holding edges outside ``active``, one twin of an
+    active parallel pair, or both twins."""
+    ids = sorted(g.edge_ids())
+    faults = [(), tuple(rng.sample(ids, rng.randrange(0, 4)))]
+    outside = sorted(set(ids) - active)
+    if outside:
+        inside = rng.sample(sorted(active), min(1, len(active)))
+        faults.append((rng.choice(outside), *inside))
+    pair = _parallel_pair(g, active)
+    if pair is not None:
+        faults.append((pair[rng.randrange(2)],))
+        faults.append(pair)
+        faults.append((*pair, rng.choice(ids)))
+    return faults
+
+
+def test_edge_view_state_matches_reference():
+    # state(bind(A), F) on multigraph hosts with self-loops and parallel
+    # edges: an edge whose twin survives must leave its bit set.
+    rng = random.Random(67)
+    for _ in range(60):
+        g = loopy_multigraph(rng, rng.randrange(2, 8))
+        n = g.n
+        ids = sorted(g.edge_ids())
+        if rng.random() < 0.3:
+            active = set(ids)
+        else:
+            active = set(rng.sample(ids, rng.randrange(len(ids) + 1)))
+        specs = _rooted_specs(rng, n)
+        oracles = [(ConnectivityOracle(g, spec), roots) for spec, roots in specs]
+        views = [oracle.bind(active) for oracle, _ in oracles]
+        for fault in _faults(rng, g, active):
+            comp_of = _comp_masks(g, set(fault) | (set(ids) - active))
+            for (oracle, roots), view in zip(oracles, views):
+                want = tuple(comp_of[r] for r in roots)
+                assert oracle.state(view, fault) == want, (sorted(active), fault)
+
+
+def test_changed_recomputes_one_component_exactly():
+    # changed() recomputes only the component holding both ends of the
+    # removed edge; it must agree with a full state for every edge and fault.
+    rng = random.Random(71)
+    for _ in range(25):
+        g = loopy_multigraph(rng, rng.randrange(3, 7))
+        ids = sorted(g.edge_ids())
+        if rng.random() < 0.5:
+            active = set(ids)
+        else:
+            active = set(rng.sample(ids, rng.randrange(2, len(ids) + 1)))
+        for spec, _, _ in variant_checks(g):
+            oracle = ConnectivityOracle(g, spec)
+            view = oracle.bind(active)
+            for eid in ids:
+                for fault in fault_sets_colex(active - {eid}, 2):
+                    base = oracle.state(view, fault)
+                    want = oracle.breaks(base, oracle.state(view, (*fault, eid)))
+                    got = oracle.changed(base, view, fault, eid)
+                    assert got == want, (spec.kind, sorted(active), fault, eid)

@@ -15,6 +15,7 @@ from sccpreserve.variants import VariantSpec
 from sccpreserve.verify import (
     enumerate_critical_edges,
     verify_bounded_degree_witness,
+    verify_color_ft,
     verify_color_witness,
     verify_ft,
     verify_ft_by_cuts,
@@ -22,8 +23,8 @@ from sccpreserve.verify import (
     verify_kconn_by_cuts,
 )
 
-from conftest import bidirected_triangle, three_cycle, variant_checks
-from oracles import first_counterexample_ref, verify_ft_ref
+from conftest import bidirected_triangle, loopy_multigraph, three_cycle, variant_checks
+from oracles import first_color_counterexample_ref, first_counterexample_ref, verify_ft_ref
 
 
 def all_pairs_of(g):
@@ -77,9 +78,10 @@ def test_counterexample_is_colex_minimal():
     from sccpreserve.variants import ConnectivityOracle, fault_sets_colex
 
     oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
+    view_g, view_h = oracle.bind(g.edge_ids()), oracle.bind(frozenset(kept))
     for fault in fault_sets_colex(sorted(g.edge_ids()), 1):
-        state_g = oracle.state(g.edge_ids(), fault)
-        state_h = oracle.state(frozenset(kept), fault)
+        state_g = oracle.state(view_g, fault)
+        state_h = oracle.state(view_h, fault)
         if oracle.breaks(state_g, state_h):
             assert frozenset(fault) == res.counterexample.faults
             break
@@ -88,12 +90,33 @@ def test_counterexample_is_colex_minimal():
 def test_counterexample_is_colex_first_over_host_edges():
     # verify_ft scans only subsets of E(H); its counterexample must still be
     # the colex-first failing fault set over all of E(G).  A (k-1)-FT
-    # preserver checked at k mostly fails on a nonempty fault set.
+    # preserver checked at k mostly fails on a nonempty fault set.  The
+    # hosts include multigraphs with self-loops and parallel edges, every
+    # variant (global included) is checked, and verify_color_ft checks the
+    # same scan over color families.
     rng = random.Random(89)
-    for trial in range(12):
-        g = gen_random(5, rng.randrange(6, 10), 500 + trial,
-                       ensure_strongly_connected=trial % 2 == 0)
+    for trial in range(18):
+        if trial < 12:
+            g = gen_random(5, rng.randrange(6, 10), 500 + trial,
+                           ensure_strongly_connected=trial % 2 == 0)
+        else:
+            g = loopy_multigraph(rng, 5)
         ids = sorted(g.edge_ids())
+        colored = DiGraph(g.n, [(e.tail, e.head, rng.randrange(4)) for e in g.edges])
+        for k in (1, 2):
+            for cand in (
+                frozenset(ids),
+                frozenset(rng.sample(ids, rng.randrange(len(ids) + 1))),
+                frozenset(ids) - {rng.choice(ids)},
+            ):
+                res = verify_color_ft(colored, cand, k)
+                ref = first_color_counterexample_ref(colored, cand, k)
+                if ref is None:
+                    assert res.ok
+                    continue
+                assert not res.ok
+                got = (res.counterexample.pair, res.counterexample.faults)
+                assert got == ref, (trial, k, sorted(cand))
         for spec, pairs, global_variant in variant_checks(g):
             weaker = None
             for k in (0, 1, 2):
