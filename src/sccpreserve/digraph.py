@@ -75,6 +75,11 @@ class DiGraph:
     def __setattr__(self, name, value):
         raise AttributeError("DiGraph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since slot state cannot
+        # be restored past __setattr__; the records keep ids and colors
+        return _from_records, (self.n, self.edges)
+
     # -- basic accessors -------------------------------------------------
 
     @property
@@ -184,6 +189,10 @@ class DiGraph:
             if e.tail in local and e.head in local
         ]
         return DiGraph(len(to_parent), _records=records), to_parent
+
+
+def _from_records(n: int, records) -> DiGraph:
+    return DiGraph(n, _records=records)
 
 
 # -- bitmask reachability kernel ------------------------------------------

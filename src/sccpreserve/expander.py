@@ -23,9 +23,9 @@ from itertools import combinations
 from math import comb
 
 from . import limits
-from .digraph import DiGraph, out_masks, scc, scc_masks, set_to_mask
+from .digraph import DiGraph, mask_to_set, out_masks, scc, scc_masks, set_to_mask
 from .errors import CapabilityError, InputError
-from .flowcut import Cut, boundary_edges, farthest_min_cut, flow_value
+from .flowcut import Cut, bind, boundary_edges, make_cut
 from .variants import fault_sets_colex
 
 
@@ -72,12 +72,16 @@ def is_unbreakable(
             f"unbreakability check needs {pairs} subset pairs (|U|={len(U)}, "
             f"q={q}), limit is {cap}"
         )
-    for a_side in combinations(su, q + 1):
-        rest = [v for v in su if v not in a_side]
-        for b_side in combinations(rest, q + 1):
-            if flow_value(g, a_side, b_side, cap=k + 1) <= k:
-                witness = farthest_min_cut(g, a_side, b_side)
-                return UnbreakabilityResult(False, witness)
+    view = bind(g)
+    bits = [1 << v for v in su]
+    for a_bits in combinations(bits, q + 1):
+        a_mask = sum(a_bits)
+        rest = [b for b in bits if not b & a_mask]
+        for b_bits in combinations(rest, q + 1):
+            b_mask = sum(b_bits)
+            if view.value(a_mask, b_mask, k + 1) <= k:
+                side = mask_to_set(view.farthest(a_mask, b_mask)[0])
+                return UnbreakabilityResult(False, make_cut(g, side, "out"))
     return UnbreakabilityResult(True)
 
 
@@ -199,10 +203,11 @@ def _heuristic_sparse_cut(g: DiGraph, terminals, phi, rng) -> Cut | None:
             return None
         return Fraction(scored[0], scored[1])
 
+    view = bind(g)
     candidates = []
     for _ in range(min(20, len(U) * (len(U) - 1))):
         a, b = rng.sample(U, 2)
-        candidates.append(set_to_mask(farthest_min_cut(g, [a], [b]).side))
+        candidates.append(view.farthest(1 << a, 1 << b)[0])
     for _ in range(10):
         size = rng.randrange(1, g.n)
         candidates.append(set_to_mask(rng.sample(range(g.n), size)))

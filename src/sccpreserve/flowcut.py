@@ -1,24 +1,40 @@
-"""Unit-capacity max-flow, minimum cuts, and farthest minimum cuts.
+"""Unit-capacity flows, minimum cuts, and farthest minimum cuts.
 
-Flows are computed with BFS augmenting paths (Ford-Fulkerson) on the
-residual multigraph.  Terminal sets are handled with an artificial super
-source/sink whose arcs get capacity m+1, so they can never saturate.
-Residual BFS scans arcs in ascending edge-id order, which makes every cut
-this module returns reproducible across runs.
+The cut stack asks many flow questions of one graph: the unbreakability
+oracle asks one per pair of terminal subsets, kconn one per vertex pair,
+the important-cut container one per round.  So a graph is bound once, with
+:func:`bind`, into a :class:`FlowView`: the pair-multiplicity matrix (the
+capacity of u -> v is the number of u -> v edges, self-loops skipped since
+they never cross a cut) and, per vertex, the mask of heads with nonzero
+capacity.  ``bind(g, reverse=True)`` binds the transposed matrix, which is
+the matrix of ``g.reverse()``, without building that graph.  A query copies
+the matrix and the masks and augments along shortest residual paths, found
+by a BFS over frontier masks; no super source or sink is built, a path
+starts at any X vertex and ends at the first Y vertex it reaches.  The view
+answers two questions:
 
-The farthest minimum (X, Y)-cut is taken as S = V minus the set of vertices
-that can still reach Y in the final residual graph.  That side is the unique
+* :meth:`FlowView.value`: the number of edge-disjoint (X, Y)-paths,
+  optionally clamped at a cap;
+* :meth:`FlowView.farthest`: the farthest minimum (X, Y)-cut side, also
+  with extra unit source edges into listed heads.
+
+The farthest minimum cut side is S = V minus the vertices that can still
+reach Y in the final residual graph.  That side is the unique
 inclusion-maximal minimum-cut side, it agrees with the classical farthest
 min-cut whenever every vertex is reachable from X, and it is the form the
 flow-increment law (adding a source edge to any v outside S raises the flow
 by exactly one) needs even on graphs with vertices unreachable from X.
+
+:func:`max_flow` keeps an arc-list residual network (:class:`_Residual`):
+its witness paths are an output, and which paths it finds depends on the
+order the search scans arcs in, ascending edge id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import DiGraph
+from .digraph import DiGraph, mask_to_set, set_to_mask
 from .errors import InputError
 
 
@@ -63,12 +79,225 @@ class FlowValue:
     min_cut: Cut | None = None
 
 
+class FlowView:
+    """Unit-capacity flows on one bound graph (see the module docstring).
+
+    ``cap`` is the n x n pair-multiplicity matrix, flattened row-major;
+    ``nonzero[u]`` is the mask of v with ``cap[u * n + v] > 0``; ``into[v]``
+    is the column sum, the capacity into v.
+
+    Why the answers equal those of an arc-list residual network with a
+    super source and sink, whatever paths either one augments along:
+
+    * The flow value is unique: every maximum flow has the same value, and
+      a clamped value is min(maximum, cap).  Parallel edges add up in the
+      matrix, and netting a pair's flow in both directions keeps a flow's
+      value.
+    * The farthest side is the same for every maximum flow f.  Let T be the
+      vertices that reach Y in the residual of f.  No residual arc enters T
+      from outside, so V - T is a minimum cut side; every minimum cut side
+      S has its out-arcs saturated and its in-arcs empty, so no residual
+      arc leaves S and S <= V - T.  A residual arc u -> v of the matrix
+      exists exactly when some u -> v edge has capacity left or some
+      v -> u edge carries flow, as in the arc-list network.
+    * A path through the super source can start after it.  Source arcs
+      into X never saturate, so a path that starts at any X vertex is a
+      path from the super source.  Once the flow is maximal the super
+      source cannot reach Y, so no vertex reaches Y through it, and the set
+      of vertices that reach Y is computed without it.
+    * The reversed graph's matrix is the transpose of g's, with the same
+      self-loops skipped, so a reversed view is a view of ``g.reverse()``.
+    """
+
+    __slots__ = ("n", "full", "cap", "nonzero", "into")
+
+    def __init__(self, g: DiGraph, reverse: bool = False):
+        n = g.n
+        cap = [0] * (n * n)
+        nonzero = [0] * n
+        into = [0] * n
+        for e in g.edges:
+            u, v = (e.head, e.tail) if reverse else (e.tail, e.head)
+            if u != v:
+                cap[u * n + v] += 1
+                nonzero[u] |= 1 << v
+                into[v] += 1
+        self.n = n
+        self.full = (1 << n) - 1
+        self.cap = cap
+        self.nonzero = tuple(nonzero)
+        self.into = tuple(into)
+
+    def _flow(self, x_mask: int, y_mask: int, limit=None, supply=None):
+        """Augment until no residual path is left or ``limit`` is reached.
+
+        ``supply[v]`` is the capacity of extra unit source edges into v.  A
+        BFS runs from every start vertex at once (X, and heads with supply
+        left) and keeps each level's frontier mask; it stops at the first
+        frontier vertex u with a residual arc into Y.  The path is then
+        walked back from u level by level, each vertex taking as parent the
+        first vertex of the level below with a residual arc to it.  Returns
+        the value and the residual nonzero masks.
+
+        The value never exceeds the capacity of the edges into Y plus the
+        unit source edges into its heads.  An uncapped run is capped there:
+        at that value no augmenting path is left, so the last, failing
+        search is skipped.
+        """
+        n = self.n
+        res = self.cap[:]
+        nonzero = list(self.nonzero)
+        starts = x_mask
+        if supply is not None:
+            for v, units in enumerate(supply):
+                if units:
+                    starts |= 1 << v
+        if limit is None:
+            limit = 0
+            bits = y_mask
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                y = b.bit_length() - 1
+                limit += self.into[y] + (supply[y] if supply else 0)
+        value = 0
+        while value < limit:
+            vbit = starts & y_mask  # only a head can be a start in Y
+            if vbit:
+                vbit &= -vbit
+                v = vbit.bit_length() - 1
+            else:
+                levels = [starts]
+                reached = frontier = starts
+                while frontier:
+                    nxt = 0
+                    while frontier:
+                        ubit = frontier & -frontier
+                        frontier ^= ubit
+                        u = ubit.bit_length() - 1
+                        vbit = nonzero[u] & y_mask
+                        if vbit:
+                            break
+                        nxt |= nonzero[u]
+                    if vbit:
+                        break
+                    frontier = nxt & ~reached
+                    reached |= frontier
+                    levels.append(frontier)
+                if not vbit:
+                    break
+                vbit &= -vbit
+                v = vbit.bit_length() - 1
+                depth = len(levels) - 1  # the level of u
+                while True:
+                    i = u * n + v
+                    res[i] -= 1
+                    if not res[i]:
+                        nonzero[u] &= ~vbit
+                    res[v * n + u] += 1
+                    nonzero[v] |= ubit
+                    v, vbit = u, ubit
+                    if not depth:
+                        break
+                    depth -= 1
+                    bits = levels[depth]
+                    while True:
+                        ubit = bits & -bits
+                        u = ubit.bit_length() - 1
+                        if nonzero[u] & vbit:
+                            break
+                        bits ^= ubit
+            if not x_mask & vbit:
+                supply[v] -= 1
+                if not supply[v]:
+                    starts &= ~vbit
+            value += 1
+        return value, nonzero
+
+    def value(self, x_mask: int, y_mask: int, cap: int | None = None) -> int:
+        """Maximum number of edge-disjoint (X, Y)-paths, clamped at ``cap``.
+
+        X and Y are vertex masks, nonempty and disjoint; the caller checks
+        them, as :func:`flow_value` does.
+        """
+        return self._flow(x_mask, y_mask, cap)[0]
+
+    def farthest(self, x_mask: int, y_mask: int, heads=()) -> tuple[int, int]:
+        """(side mask, flow value) of the farthest minimum (X, Y)-cut.
+
+        ``heads`` lists the heads of extra unit source edges; a head listed
+        twice gets capacity 2.  The side is V minus the vertices that reach
+        Y in the final residual graph.
+        """
+        supply = None
+        if heads:
+            supply = [0] * self.n
+            for v in heads:
+                supply[v] += 1
+        value, nonzero = self._flow(x_mask, y_mask, None, supply)
+        reach = y_mask
+        side = self.full & ~reach
+        grew = True
+        while grew:
+            grew = False
+            bits = side
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                if nonzero[b.bit_length() - 1] & reach:
+                    reach |= b
+                    side ^= b
+                    grew = True
+        return side, value
+
+    def boundary_heads(self, side: int) -> list[int]:
+        """Heads of the bound graph's edges leaving ``side``, with multiplicity."""
+        n = self.n
+        cap = self.cap
+        heads = []
+        outside = self.full & ~side
+        bits = side
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            u = b.bit_length() - 1
+            row = u * n
+            crossing = self.nonzero[u] & outside
+            while crossing:
+                c = crossing & -crossing
+                crossing ^= c
+                v = c.bit_length() - 1
+                heads.extend([v] * cap[row + v])
+        return heads
+
+    def symmetric(self, s: int, t: int, k: int) -> int:
+        """min(flow(s, t), flow(t, s), k), computed with capped flows."""
+        if s == t:
+            raise InputError("s and t must differ")
+        if k < 0:
+            raise InputError("k must be nonnegative")
+        if k == 0:
+            return 0
+        for v in (s, t):
+            if not 0 <= v < self.n:
+                raise InputError(f"vertex {v} out of range [0, {self.n})")
+        forward = self._flow(1 << s, 1 << t, k)[0]
+        if forward == 0:
+            return 0
+        return self._flow(1 << t, 1 << s, forward)[0]
+
+
+def bind(g: DiGraph, reverse: bool = False) -> FlowView:
+    """The :class:`FlowView` of g, or of its reverse with ``reverse=True``."""
+    return FlowView(g, reverse)
+
+
 class _Residual:
     """Arc-list residual network over g's vertices plus super source/sink."""
 
-    __slots__ = ("n", "src", "snk", "to", "cap", "adj", "radj", "edge_id", "value")
+    __slots__ = ("n", "src", "snk", "to", "cap", "adj", "edge_id", "value")
 
-    def __init__(self, g: DiGraph, X, Y, extra_source_heads=()):
+    def __init__(self, g: DiGraph, X, Y):
         n = g.n
         self.n = n + 2
         self.src = n
@@ -76,13 +305,10 @@ class _Residual:
         self.to = []
         self.cap = []
         self.adj = [[] for _ in range(self.n)]
-        self.radj = [[] for _ in range(self.n)]
         self.edge_id = []
-        big = g.m + len(extra_source_heads) + 1
+        big = g.m + 1
         for e in g.edges:  # ascending edge-id order fixes BFS tie-breaking
             self._arc(e.tail, e.head, 1, e.id)
-        for v in extra_source_heads:
-            self._arc(self.src, v, 1, None)
         for x in X:
             self._arc(self.src, x, big, None)
         for y in Y:
@@ -96,8 +322,6 @@ class _Residual:
         self.edge_id.extend((eid, eid))
         self.adj[u].append(i)
         self.adj[v].append(i + 1)
-        self.radj[v].append(i)
-        self.radj[u].append(i + 1)
 
     def augment_once(self) -> bool:
         to, cap, adj = self.to, self.cap, self.adj
@@ -149,21 +373,6 @@ class _Residual:
                     if v not in seen:
                         seen.add(v)
                         stack.append(v)
-        return seen
-
-    def sink_reaching(self) -> set:
-        """Vertices with a residual path to the sink."""
-        seen = {self.snk}
-        stack = [self.snk]
-        to, cap = self.to, self.cap
-        while stack:
-            w = stack.pop()
-            for a in self.radj[w]:
-                if cap[a] > 0:
-                    u = to[a ^ 1]
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
         return seen
 
 
@@ -240,25 +449,14 @@ def max_flow(g: DiGraph, X, Y, cap: int | None = None) -> FlowValue:
 
 
 def flow_value(g: DiGraph, X, Y, cap: int | None = None) -> int:
-    """Value-only fast path used by the heavier search loops."""
+    """Value-only flow on a one-query view; loops bind g once instead."""
     X, Y = _check_terminals(g, X, Y)
-    net = _Residual(g, X, Y)
-    return net.run(cap)
+    return bind(g).value(set_to_mask(X), set_to_mask(Y), cap)
 
 
 def symmetric_connectivity(g: DiGraph, s: int, t: int, k: int) -> int:
     """min(flow(s,t), flow(t,s), k), computed with capped flows."""
-    if s == t:
-        raise InputError("s and t must differ")
-    if k < 0:
-        raise InputError("k must be nonnegative")
-    if k == 0:
-        return 0
-    forward = flow_value(g, [s], [t], cap=k)
-    if forward == 0:
-        return 0
-    backward = flow_value(g, [t], [s], cap=min(forward, k))
-    return min(forward, backward, k)
+    return bind(g).symmetric(s, t, k)
 
 
 def farthest_min_cut(g: DiGraph, X, Y) -> Cut:
@@ -270,11 +468,8 @@ def farthest_min_cut(g: DiGraph, X, Y) -> Cut:
     iterates on.
     """
     X, Y = _check_terminals(g, X, Y)
-    net = _Residual(g, X, Y)
-    net.run()
-    reaching = net.sink_reaching()
-    side = frozenset(v for v in range(g.n) if v not in reaching)
-    return Cut(side=side, direction="out", boundary=boundary_edges(g, side, "out"))
+    side = bind(g).farthest(set_to_mask(X), set_to_mask(Y))[0]
+    return make_cut(g, mask_to_set(side), "out")
 
 
 def canonicalize_out_reachable(g: DiGraph, cut: Cut, X, Y) -> Cut:

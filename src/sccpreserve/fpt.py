@@ -64,11 +64,17 @@ class FptCache:
     graph content: a graph hashes and compares by its signature, so only an
     identical graph hits.  Both computations are deterministic functions of
     the graph and their other arguments.
+
+    Induced pieces are interned by (graph, component): ``g.induced`` is a
+    deterministic function of both, so a repeated piece is the very object
+    built the first time, and the container and hierarchy keys built on it
+    then match by identity instead of comparing signatures record by record.
     """
 
     sscp_entries: dict = field(default_factory=dict)
     containers: dict = field(default_factory=dict)
     hierarchies: dict = field(default_factory=dict)
+    pieces: dict = field(default_factory=dict)
 
     def sscp_for(
         self, g: DiGraph, u: int, k: int, scope: tuple | None = None
@@ -83,6 +89,14 @@ class FptCache:
         kept = sscp(g, u, k).kept_edges
         self.sscp_entries[key] = (kept, frozenset(g.edge(i) for i in kept), records)
         return kept
+
+    def piece(self, g: DiGraph, component: frozenset):
+        key = (g, component)
+        hit = self.pieces.get(key)
+        if hit is None:
+            hit = g.induced(component)
+            self.pieces[key] = hit
+        return hit
 
     def hierarchy(self, g: DiGraph, params: HierarchyParams):
         key = (g, params)
@@ -257,7 +271,7 @@ def fpt_container_all_pairs(
         sub_seed = rng.randrange(1 << 62)  # drawn for terminal-free pieces too
         if not terminals:
             continue
-        csub, c_to_parent = g.induced(component)
+        csub, c_to_parent = cache.piece(g, component)
         local_index = {v: j for j, v in enumerate(c_to_parent)}
         local_terminals = [local_index[v] for v in terminals]
         report = critical_edge_container(

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .digraph import DiGraph, out_masks, reach_mask, set_to_mask
+from .digraph import DiGraph, mask_to_set, out_masks, reach_mask, set_to_mask
 from .errors import InputError
-from .flowcut import Cut, _Residual, _check_terminals, boundary_edges
+from .flowcut import Cut, _check_terminals, bind, boundary_edges, make_cut
 
 NO_SMALL_CUTS = "no_important_cuts"
 OK = "ok"
@@ -48,58 +48,39 @@ class ContainerResult:
         return self.cut.boundary if self.cut is not None else frozenset()
 
 
-def _farthest_side(g: DiGraph, X, Y, extra_heads) -> tuple[frozenset, int, list]:
-    """Farthest min-cut side of g plus unit source edges to extra_heads."""
-    net = _Residual(g, X, Y, extra_source_heads=extra_heads)
-    value = net.run()
-    reaching = net.sink_reaching()
-    side = frozenset(v for v in range(g.n) if v not in reaching)
-    return side, value, reaching
-
-
 def important_cut_container(
     g: DiGraph, X, Y, k: int, direction: str = "out"
 ) -> ContainerResult:
     """A single cut whose side contains every important (X, Y)-cut side.
 
-    For ``direction='in'`` the computation runs on the reversed graph:
-    in-reachable cuts of g are exactly the out-reachable cuts of reverse(g),
-    and edge ids are shared, so the boundary is reported against g directly.
+    For ``direction='in'`` the computation runs on the transposed view
+    (``bind(g, reverse=True)``): in-reachable cuts of g are exactly the
+    out-reachable cuts of reverse(g), whose out-boundary heads are the
+    tails of g's in-boundary, and edge ids are shared, so the boundary is
+    reported against g directly.  No reversed graph is built.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
-    if direction == "in":
-        res = important_cut_container(g.reverse(), X, Y, k, "out")
-        if res.cut is None:
-            return res
-        cut = Cut(
-            side=res.cut.side,
-            direction="in",
-            boundary=boundary_edges(g, res.cut.side, "in"),
-        )
-        return ContainerResult(res.status, cut, res.flow_value, res.k_star, res.nested_sides)
-    if direction != "out":
+    if direction not in ("out", "in"):
         raise InputError(f"bad direction {direction!r}")
-
     X, Y = _check_terminals(g, X, Y)
-    side, lam, _ = _farthest_side(g, X, Y, ())
+    x_mask, y_mask = set_to_mask(X), set_to_mask(Y)
+    view = bind(g, reverse=direction == "in")
+    side, lam = view.farthest(x_mask, y_mask)
     if lam > k:
         return ContainerResult(NO_SMALL_CUTS, None, lam, None, ())
     k_star = k - lam
     sides = [side]
-    extra_heads: list[int] = []
+    heads: list[int] = []
     for _ in range(k_star):
         # one unit source edge per boundary edge of the current cut,
         # counting previously added artificial edges that cross it too
-        cur = sides[-1]
-        new_heads = [e.head for e in g.edges if e.tail in cur and e.head not in cur]
-        new_heads.extend(v for v in extra_heads if v not in cur)
-        extra_heads.extend(sorted(new_heads))
-        nxt, _, _ = _farthest_side(g, X, Y, tuple(extra_heads))
-        sides.append(nxt)
-    final = sides[-1]
-    cut = Cut(side=final, direction="out", boundary=boundary_edges(g, final, "out"))
-    return ContainerResult(OK, cut, lam, k_star, tuple(sides))
+        heads += [v for v in heads if not (side >> v) & 1]
+        heads += view.boundary_heads(side)
+        side, _ = view.farthest(x_mask, y_mask, heads)
+        sides.append(side)
+    nested = tuple(mask_to_set(s) for s in sides)
+    return ContainerResult(OK, make_cut(g, nested[-1], direction), lam, k_star, nested)
 
 
 def _out_reachable_side(adj, x_mask: int, side_mask: int) -> bool:

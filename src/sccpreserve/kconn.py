@@ -17,7 +17,7 @@ from . import limits
 from .digraph import DiGraph
 from .errors import InputError
 from .expander import is_unbreakable
-from .flowcut import Cut, boundary_edges, flow_value, symmetric_connectivity
+from .flowcut import Cut, bind, boundary_edges
 from .preservers import PreserverResult
 
 
@@ -59,10 +59,11 @@ def demand_pairs(g: DiGraph, k: int) -> DemandPairs:
     n = g.n
     if n <= 1:
         return DemandPairs(pairs=(), tree_edges=())
+    view = bind(g)
     weighted = []
     for u in range(n):
         for v in range(u + 1, n):
-            weighted.append((-symmetric_connectivity(g, u, v, k), u, v))
+            weighted.append((-view.symmetric(u, v, k), u, v))
     weighted.sort()
     parent = list(range(n))
 
@@ -87,13 +88,13 @@ def demand_pairs(g: DiGraph, k: int) -> DemandPairs:
 
 def _preserves_pairs(h: DiGraph, banned: frozenset, targets) -> bool:
     """Does h minus banned still meet every (u, v, needed) target?"""
-    probe = h.remove_edges(banned)
+    probe = bind(h.remove_edges(banned))
     for u, v, needed in targets:
         if needed == 0:
             continue
-        if flow_value(probe, [u], [v], cap=needed) < needed:
+        if probe.value(1 << u, 1 << v, needed) < needed:
             return False
-        if flow_value(probe, [v], [u], cap=needed) < needed:
+        if probe.value(1 << v, 1 << u, needed) < needed:
             return False
     return True
 
@@ -129,10 +130,11 @@ def greedy_kconn_preserver(
     if use_demand_pairs:
         targets = demand_pairs(g, k).pairs
     else:
+        view = bind(g)
         targets = []
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                lam = symmetric_connectivity(g, u, v, k)
+                lam = view.symmetric(u, v, k)
                 if lam:
                     targets.append((u, v, lam))
     h = g

@@ -335,8 +335,21 @@ class CriticalityScan:
     pair.  Self-loops never carry connectivity and are never critical.  The
     active set is bound once into an edge view and bound again by
     :meth:`remove`.  The baseline state of ``active - F`` does not depend
-    on e, so it is cached per F and shared by every edge until
-    :meth:`remove` shrinks the set.
+    on e, so it is cached per F and shared by every edge.
+
+    The cached states outlive :meth:`remove`, whose precondition is that
+    the removed edge e was proved non-critical (``first_witness(e)`` found
+    no witness; ``greedy_preserver`` is the only caller).  Lemma: the
+    answers of :meth:`first_witness` do not change.  For every F <= active
+    - e with |F| <= k, dropping e from active - F breaks no protected fact.
+    All-pairs, sourcewise and single-source protect V - r for each root r,
+    so each root's component in active - F - e equals the cached one.  For
+    s-t, the cached component of s may be a superset of the fresh one, but
+    it holds t exactly when the fresh one does; ``changed`` then prunes
+    less often, recomputes the new reach in full and gives the same answer.
+    For global, the cached root component is V exactly when the fresh one
+    is.  By induction this holds across any number of removals, and fault
+    sets that contain a removed edge are never enumerated again.
     """
 
     def __init__(self, oracle: ConnectivityOracle, active, k: int):
@@ -374,9 +387,9 @@ class CriticalityScan:
         return self.oracle.first_broken_pair(self._base(fault), after)
 
     def remove(self, eid: int) -> None:
+        """Drop an edge proved non-critical; cached states stay valid."""
         self.active.discard(eid)
         self.view = self.oracle.bind(self.active)
-        self.base_states.clear()
 
 
 def _low_bit(mask: int) -> int:

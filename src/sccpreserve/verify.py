@@ -17,7 +17,7 @@ from itertools import islice
 from . import limits
 from .digraph import DiGraph, in_masks, out_masks, reach_mask
 from .errors import CapabilityError, InputError
-from .flowcut import symmetric_connectivity
+from .flowcut import bind
 from .variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
 
 
@@ -73,13 +73,14 @@ def verify_kconn(g: DiGraph, kept_edges, k: int) -> VerifyResult:
     if k < 0:
         raise InputError("k must be nonnegative")
     kept = _check_kept(g, kept_edges)
-    h = g.restrict_to(kept)
+    view_g = bind(g)
+    view_h = bind(g.restrict_to(kept))
     for s in range(g.n):
         for t in range(s + 1, g.n):
-            want = symmetric_connectivity(g, s, t, k)
+            want = view_g.symmetric(s, t, k)
             if want == 0:
                 continue
-            got = symmetric_connectivity(h, s, t, k)
+            got = view_h.symmetric(s, t, k)
             if got != want:
                 return VerifyResult(
                     ok=False, counterexample=Counterexample(pair=(s, t), faults=frozenset())
@@ -175,12 +176,13 @@ def verify_kconn_by_cuts(
     if k < 0:
         raise InputError("k must be nonnegative")
     kept = _check_kept(g, kept_edges)
+    view = bind(g)
     lam_cache: dict[tuple, int] = {}
     for s, t, _, boundary in _minimal_symmetric_cuts(g, max_n):
         key = (min(s, t), max(s, t))
         lam = lam_cache.get(key)
         if lam is None:
-            lam = symmetric_connectivity(g, key[0], key[1], k)
+            lam = view.symmetric(key[0], key[1], k)
             lam_cache[key] = lam
         if len(boundary & kept) < lam:
             return False

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from sccpreserve.digraph import DiGraph, parse, scc, serialize
@@ -137,3 +140,20 @@ def test_parse_rejects_bad_counts():
 def test_vertex_range_checked():
     with pytest.raises(InputError):
         DiGraph(2, [(0, 5)])
+
+
+def test_pickle_and_deepcopy_round_trip():
+    g = DiGraph(4, [(0, 1, 2), (1, 2), (1, 2), (2, 0, 0), (3, 3, 1)])
+    sub = g.remove_edges([1])  # gapped ids must survive
+    for original in (g, sub, DiGraph(0)):
+        for copy_of in (
+            lambda x: pickle.loads(pickle.dumps(x)),
+            copy.deepcopy,
+            copy.copy,
+        ):
+            clone = copy_of(original)
+            assert clone == original
+            assert hash(clone) == hash(original)
+            assert clone.signature() == original.signature()
+            assert [e.color for e in clone.edges] == [e.color for e in original.edges]
+            assert sorted(clone.edge_ids()) == sorted(original.edge_ids())

@@ -1,19 +1,24 @@
+import random
+
 import pytest
 
-from sccpreserve.digraph import DiGraph
+from sccpreserve.digraph import DiGraph, mask_to_set, set_to_mask
 from sccpreserve.errors import InputError
 from sccpreserve.families import gen_random
 from sccpreserve.flowcut import (
+    _Residual,
+    bind,
     boundary_edges,
     canonicalize_in_reachable,
     canonicalize_out_reachable,
     farthest_min_cut,
+    flow_value,
     make_cut,
     max_flow,
     symmetric_connectivity,
 )
 
-from conftest import bidirected_triangle, diamond, diamond_with_chord
+from conftest import bidirected_triangle, diamond, diamond_with_chord, loopy_multigraph
 from oracles import flow_by_path_families, maximal_min_cut_side, min_cut_ref
 
 
@@ -174,3 +179,115 @@ def test_boundary_helper_directions():
     g = diamond()
     assert boundary_edges(g, {0}, "out") == frozenset({0, 1})
     assert boundary_edges(g, {3}, "in") == frozenset({2, 3})
+
+
+# -- the bound view against the arc-list network and the cut oracles -------
+
+
+def _loopy_hosts(seed, count):
+    rng = random.Random(seed)
+    return [loopy_multigraph(rng, rng.randrange(2, 8)) for _ in range(count)]
+
+
+def _terminal_pairs(g, rng, count):
+    """Single-vertex pairs plus random disjoint terminal sets."""
+    pairs = [([x], [y]) for x in range(g.n) for y in range(g.n) if x != y]
+    for _ in range(count):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        cut = rng.randrange(1, g.n)
+        pairs.append((order[:cut], order[cut : cut + rng.randrange(1, g.n - cut + 1)]))
+    return pairs
+
+
+def test_view_values_match_residual_and_min_cut():
+    rng = random.Random(5)
+    for g in _loopy_hosts(41, 60):
+        view = bind(g)
+        for X, Y in _terminal_pairs(g, rng, 4):
+            x_mask, y_mask = set_to_mask(X), set_to_mask(Y)
+            full = _Residual(g, X, Y).run()
+            assert full == min_cut_ref(g, X, Y)
+            assert view.value(x_mask, y_mask) == full
+            assert flow_value(g, X, Y) == full
+            for cap in range(full + 2):
+                expect = _Residual(g, X, Y).run(cap)
+                assert expect == min(full, cap)
+                assert view.value(x_mask, y_mask, cap) == expect
+
+
+def test_view_counts_parallel_edges():
+    g = DiGraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (2, 2)])
+    view = bind(g)
+    assert view.value(0b001, 0b100) == 2
+    assert view.value(0b001, 0b100, cap=1) == 1
+    assert view.value(0b011, 0b100) == 3
+
+
+def test_view_farthest_side_with_repeated_heads():
+    """Extra heads act as unit source edges: the same as edges from an X vertex."""
+    rng = random.Random(6)
+    for g in _loopy_hosts(42, 60):
+        view = bind(g)
+        for X, Y in _terminal_pairs(g, rng, 3):
+            x_mask, y_mask = set_to_mask(X), set_to_mask(Y)
+            side, value = view.farthest(x_mask, y_mask)
+            assert mask_to_set(side) == maximal_min_cut_side(g, X, Y)
+            assert value == min_cut_ref(g, X, Y)
+            outside = [v for v in range(g.n) if v not in X]
+            heads = [rng.choice(outside) for _ in range(rng.randrange(1, 4))]
+            heads += heads[: rng.randrange(len(heads) + 1)]  # repeats add capacity
+            extended = g.add_edges([(X[0], h) for h in heads])
+            side, value = view.farthest(x_mask, y_mask, heads)
+            assert mask_to_set(side) == maximal_min_cut_side(extended, X, Y)
+            assert value == min_cut_ref(extended, X, Y)
+
+
+def test_view_head_in_sink_set_is_a_unit_path():
+    g = DiGraph(3, [(0, 1)])
+    side, value = bind(g).farthest(0b001, 0b100, [2, 2])
+    assert value == 2
+    assert side == 0b011
+
+
+def test_reverse_view_is_view_of_reversed_graph():
+    rng = random.Random(7)
+    for g in _loopy_hosts(43, 40):
+        view = bind(g, reverse=True)
+        mirror = bind(g.reverse())
+        assert view.cap == mirror.cap and view.nonzero == mirror.nonzero
+        for X, Y in _terminal_pairs(g, rng, 3):
+            x_mask, y_mask = set_to_mask(X), set_to_mask(Y)
+            assert view.value(x_mask, y_mask, 2) == mirror.value(x_mask, y_mask, 2)
+            assert view.farthest(x_mask, y_mask) == mirror.farthest(x_mask, y_mask)
+            side = view.farthest(x_mask, y_mask)[0]
+            tails = sorted(
+                e.tail for e in g.edges
+                if (side >> e.head) & 1 and not (side >> e.tail) & 1
+            )
+            assert sorted(view.boundary_heads(side)) == tails
+
+
+def test_view_symmetric_matches_flows():
+    for g in _loopy_hosts(44, 30):
+        view = bind(g)
+        for s in range(g.n):
+            for t in range(g.n):
+                if s == t:
+                    continue
+                for k in range(4):
+                    expect = min(min_cut_ref(g, [s], [t]), min_cut_ref(g, [t], [s]), k)
+                    assert view.symmetric(s, t, k) == expect
+                    assert symmetric_connectivity(g, s, t, k) == expect
+
+
+def test_flow_functions_check_terminals():
+    g = diamond()
+    with pytest.raises(InputError):
+        flow_value(g, [0], [0])
+    with pytest.raises(InputError):
+        flow_value(g, [], [3])
+    with pytest.raises(InputError):
+        farthest_min_cut(g, [0], [9])
+    with pytest.raises(InputError):
+        symmetric_connectivity(g, 0, 9, 1)

@@ -230,3 +230,19 @@ def test_fpt_preserver_outputs_sound_random():
             res = fpt_preserver(g, k, seed=trial, cache=cache)
             assert verify_ft(g, res.kept_edges, VariantSpec.all_pairs(), k).ok
 
+
+
+def test_interned_pieces_are_shared_and_change_nothing():
+    for trial in range(8):
+        g = gen_random(7, 16, 300 + trial, ensure_strongly_connected=True)
+        cache = FptCache()
+        for seed in range(3):
+            warm = fpt_container_all_pairs(g, 1, seed, cache)
+            assert warm == fpt_container_all_pairs(g, 1, seed, FptCache())
+        for (host, component), (piece, to_parent) in cache.pieces.items():
+            assert host is g
+            assert (piece, to_parent) == g.induced(component)
+            assert cache.piece(g, component)[0] is piece
+        # every container lookup on a repeated piece hit the interned object
+        hosts = {id(key[0]) for key in cache.containers}
+        assert hosts <= {id(piece) for piece, _ in cache.pieces.values()}

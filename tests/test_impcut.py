@@ -5,7 +5,7 @@ import pytest
 from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import CapabilityError, InputError
 from sccpreserve.families import gen_bounded_degree_lower, gen_random
-from sccpreserve.flowcut import flow_value
+from sccpreserve.flowcut import boundary_edges, flow_value
 from sccpreserve.impcut import (
     NO_SMALL_CUTS,
     OK,
@@ -14,7 +14,7 @@ from sccpreserve.impcut import (
     important_cut_container,
 )
 
-from conftest import diamond
+from conftest import diamond, loopy_multigraph
 
 
 def test_container_single_edge():
@@ -190,3 +190,36 @@ def test_anti_isolation_invalid_instance_detected():
     g = DiGraph(3, [(0, 1), (0, 2)])
     report = check_anti_isolation(g, 0, [1, 2], [frozenset(), frozenset()], 1)
     assert not report.valid_instance
+
+
+def test_in_container_is_out_container_of_reverse_on_multigraphs():
+    rng = random.Random(11)
+    for _ in range(60):
+        g = loopy_multigraph(rng, rng.randrange(2, 8))
+        rev = g.reverse()
+        for x in range(g.n):
+            for y in range(g.n):
+                if x == y:
+                    continue
+                for k in range(4):
+                    res_in = important_cut_container(g, [x], [y], k, "in")
+                    res_out = important_cut_container(rev, [x], [y], k, "out")
+                    assert res_in.status == res_out.status
+                    assert res_in.flow_value == res_out.flow_value
+                    assert res_in.k_star == res_out.k_star
+                    assert res_in.nested_sides == res_out.nested_sides
+                    assert res_in.side == res_out.side
+                    if res_in.cut is not None:
+                        assert res_in.cut.direction == "in"
+                        assert res_in.boundary == boundary_edges(g, res_in.side, "in")
+
+
+def test_in_container_builds_no_reversed_graph(monkeypatch):
+    g = gen_random(6, 12, 2024)
+
+    def refuse(self):
+        raise AssertionError("reverse() called")
+
+    monkeypatch.setattr(DiGraph, "reverse", refuse)
+    res = important_cut_container(g, [0], [5], 2, "in")
+    assert res.flow_value == flow_value(g, [5], [0])

@@ -14,7 +14,7 @@ from sccpreserve.preservers import (
     sscp,
     st_from_global,
 )
-from sccpreserve.variants import VariantSpec
+from sccpreserve.variants import ConnectivityOracle, CriticalityScan, VariantSpec
 from sccpreserve.verify import verify_ft
 
 from conftest import bidirected_triangle, loopy_multigraph, three_cycle, variant_checks
@@ -290,3 +290,28 @@ def test_stats_recorded():
     assert res.stats["output_edges"] == 6
     assert res.stats["removal_attempts"] >= 6
     assert res.provenance == "greedy"
+
+
+def test_base_states_outlive_non_critical_removals():
+    """A scan that keeps its base states across removals of non-critical
+    edges answers like a scan rebuilt after every removal."""
+    rng = random.Random(31)
+    for _ in range(25):
+        g = loopy_multigraph(rng, rng.randrange(2, 7))
+        specs = [spec for spec, _, _ in variant_checks(g)] + [VariantSpec.st(g.n - 1, 0)]
+        for spec in specs:
+            oracle = ConnectivityOracle(g, spec)
+            for k in range(4):
+                persisting = CriticalityScan(oracle, g.edge_ids(), k)
+                rebuilt_calls = 0
+                for eid in sorted(g.edge_ids()):
+                    rebuilt = CriticalityScan(oracle, persisting.active, k)
+                    witness = persisting.first_witness(eid)
+                    assert witness == rebuilt.first_witness(eid)
+                    rebuilt_calls += rebuilt.oracle_calls
+                    if witness is None:
+                        persisting.remove(eid)
+                assert persisting.oracle_calls == rebuilt_calls
+                res = greedy_preserver(g, spec, k)
+                assert res.kept_edges == frozenset(persisting.active)
+                assert res.stats["oracle_calls"] == rebuilt_calls
