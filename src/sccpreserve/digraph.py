@@ -238,6 +238,27 @@ def reach_mask(adj: list[int], start: int) -> int:
     return reached
 
 
+def reaches(adj: list[int], start: int, goal: int) -> bool:
+    """Whether the start mask reaches a vertex of the goal mask.
+
+    The search of :func:`reach_mask`, stopped at the first frontier that
+    meets the goal; the answer is ``bool(reach_mask(adj, start) & goal)``.
+    """
+    reached = start
+    frontier = start
+    while frontier:
+        if frontier & goal:
+            return True
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= adj[b.bit_length() - 1]
+        frontier = nxt & ~reached
+        reached |= frontier
+    return False
+
+
 def closure_masks(adj: list[int]) -> list[int]:
     """Reflexive-transitive closure row per vertex."""
     n = len(adj)

@@ -18,10 +18,12 @@ the active set changes at most m times per scan, the fault once per fault
 set.  So the oracle binds an active set once into an :class:`EdgeView`
 (its adjacency masks, plus how to drop each edge), and a state under a
 fault copies those masks and clears at most |F| bits.  On top of the view,
-two exact prunes skip work: :meth:`ConnectivityOracle.changed` recomputes
-only the one component that can break, and
-:meth:`ConnectivityOracle.first_counterexample` computes the subgraph's
-state first and skips the graph's when nothing can be lost.
+two exact shortcuts skip work.  :meth:`ConnectivityOracle.changed` finds
+the one component that can break and tests the removed edge as a strong
+bridge of it: one search from the edge's tail, stopped at its head, in
+place of a new state.  :meth:`ConnectivityOracle.first_counterexample`
+computes the subgraph's state first and skips the graph's when nothing can
+be lost.
 
 Fault sets are enumerated in colexicographic edge-id order, which equals
 ascending order of the subset bitmask: the empty set first, then subsets by
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .digraph import DiGraph, reach_mask
+from .digraph import DiGraph, reach_mask, reaches
 from .errors import InputError
 
 ALL_PAIRS = "all_pairs"
@@ -157,7 +159,6 @@ class ConnectivityOracle:
         spec.validate(g)
         self.g = g
         self.n = n = g.n
-        self.ends = {e.id: (1 << e.tail) | (1 << e.head) for e in g.edges}
         self.full = (1 << n) - 1
         if spec.kind == ALL_PAIRS:
             roots = tuple(range(n))
@@ -233,8 +234,9 @@ class ConnectivityOracle:
         """Does removing ``removed`` on top of ``fault`` break a protected fact?
 
         ``base_state`` is ``state(view, fault)``; the answer equals
-        ``breaks(base_state, state(view, fault + (removed,)))``, but only one
-        component is recomputed.
+        ``breaks(base_state, state(view, fault + (removed,)))``.  It is found
+        by one search from the edge's tail, plus a full recomputation of one
+        component only for s-t.
 
         Prune: removing an edge can shrink a root's component only if both
         of its ends are in that component.  A vertex v leaves the component
@@ -243,28 +245,59 @@ class ConnectivityOracle:
         included, is in the component.  So unless some root's component C
         holds both ends and a protected vertex, nothing breaks; an s-t pair
         that is already broken answers at once.  Under global, nothing
-        breaks unless the baseline component is all of V.
+        breaks unless the baseline component is all of V.  An edge outside
+        the view (inactive, or a self-loop) or with an active twin outside
+        the fault takes no adjacency away, and nothing breaks either.
+
+        Strong-bridge test (Italiano, Laura and Santaroni): C is strongly
+        connected in active - F and holds both ends of e = (u, v).  If u
+        still reaches v in active - F - e, every walk through e detours
+        along that path, so no two vertices drop apart anywhere.  If not, u
+        and v drop apart, and C splits.  So one search from u, stopped when
+        it meets v, decides whether C survives.
 
         One component: components are disjoint, so C is the only one that
         holds both ends, and the components of roots outside C do not
-        change.  Every root r in C shares its fate: for all-pairs and
-        sourcewise its protected mask is V - r, and r loses a vertex exactly
-        when C stops being strongly connected; single-source, s-t and global
-        have a single root (for global, C = V).  So the first root whose
-        component qualifies stands for all of them: the answer is whether
-        its new out-reach and in-reach still cover C's protected vertices,
-        and the in-reach is skipped when the out-reach already misses one.
+        change.  When C splits, each root r in C keeps only its own part and
+        loses a vertex of C - r.  When every vertex of C but r is protected
+        (all-pairs, sourcewise, single-source, global with C = V, and s-t
+        with C = {s, t}), the split breaks a fact, and the first root whose
+        component qualifies stands for all of them.  Otherwise (s-t with a
+        larger C), C may split with s and t on the same side, so s's new
+        out-reach and in-reach are checked against t, the in-reach skipped
+        when the out-reach already misses it.
         """
+        drop = view.drop
+        entry = drop.get(removed)
+        if entry is None:
+            return False
+        tail, head, twins = entry
         if self.whole and base_state[0] != self.full:
             return False
-        both = self.ends[removed]
+        both = (1 << tail) | (1 << head)
         for comp, protected, bit in zip(base_state, self.protected, self.root_bits):
             if comp & both == both and comp & protected:
                 break
         else:
             return False
-        out, inn = self._masks(view, (*fault, removed))
+        for twin in twins:
+            if twin not in fault:
+                return False
+        out = list(view.out)  # the out-masks of _masks, without the in-masks
+        for eid in fault:
+            entry = drop.get(eid)
+            if entry is None:
+                continue
+            f_tail, f_head, f_twins = entry
+            if not f_twins or all(t in fault for t in f_twins):
+                out[f_tail] &= ~(1 << f_head)
+        out[tail] &= ~(1 << head)
+        if reaches(out, 1 << tail, 1 << head):
+            return False
         at_risk = comp & protected
+        if at_risk == comp & ~bit:
+            return True
+        out, inn = self._masks(view, (*fault, removed))
         if at_risk & ~reach_mask(out, bit):
             return True
         return bool(at_risk & ~reach_mask(inn, bit))
@@ -342,14 +375,18 @@ class CriticalityScan:
     no witness; ``greedy_preserver`` is the only caller).  Lemma: the
     answers of :meth:`first_witness` do not change.  For every F <= active
     - e with |F| <= k, dropping e from active - F breaks no protected fact.
-    All-pairs, sourcewise and single-source protect V - r for each root r,
-    so each root's component in active - F - e equals the cached one.  For
-    s-t, the cached component of s may be a superset of the fresh one, but
-    it holds t exactly when the fresh one does; ``changed`` then prunes
-    less often, recomputes the new reach in full and gives the same answer.
+    Outside s-t, ``changed`` reads the cached state only to select the
+    component C that holds the removed edge's ends; the tail-to-head
+    search runs on the current view.  All-pairs, sourcewise and
+    single-source protect V - r for each root r, so each root's component
+    in active - F - e equals the cached one and the same C is selected.
     For global, the cached root component is V exactly when the fresh one
-    is.  By induction this holds across any number of removals, and fault
-    sets that contain a removed edge are never enumerated again.
+    is.  For s-t, the cached component of s may be a superset of the fresh
+    one, but it holds t exactly when the fresh one does, and when it is
+    {s, t} so is the fresh one; ``changed`` then prunes less often,
+    recomputes the new reach in full when the search fails and gives the
+    same answer.  By induction this holds across any number of removals,
+    and fault sets that contain a removed edge are never enumerated again.
     """
 
     def __init__(self, oracle: ConnectivityOracle, active, k: int):

@@ -1,9 +1,10 @@
 import copy
 import pickle
+import random
 
 import pytest
 
-from sccpreserve.digraph import DiGraph, parse, scc, serialize
+from sccpreserve.digraph import DiGraph, parse, reach_mask, reaches, scc, serialize
 from sccpreserve.errors import InputError
 from sccpreserve.families import gen_random
 
@@ -157,3 +158,20 @@ def test_pickle_and_deepcopy_round_trip():
             assert clone.signature() == original.signature()
             assert [e.color for e in clone.edges] == [e.color for e in original.edges]
             assert sorted(clone.edge_ids()) == sorted(original.edge_ids())
+
+
+def test_reaches_equals_full_reach():
+    # The early-exit search answers exactly what the full reach set does,
+    # including from a start with no out-neighbours and with goal == start.
+    rng = random.Random(83)
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        adj = [rng.getrandbits(n) if rng.random() < 0.7 else 0 for _ in range(n)]
+        v = rng.randrange(n)
+        adj[v] = 0
+        starts = [1 << v, rng.getrandbits(n)]
+        for start in starts:
+            for goal in (start, 1 << rng.randrange(n), rng.getrandbits(n), 0):
+                assert reaches(adj, start, goal) == bool(reach_mask(adj, start) & goal)
+    assert reaches([0, 0], 0b01, 0b01)
+    assert not reaches([0, 0b01], 0b01, 0b10)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from sccpreserve.digraph import DiGraph
+from sccpreserve import variants
+from sccpreserve.digraph import DiGraph, reaches
 from sccpreserve.errors import InputError
 from sccpreserve.variants import ConnectivityOracle, VariantSpec, fault_sets_colex
 
@@ -134,9 +135,20 @@ def test_edge_view_state_matches_reference():
                 assert oracle.state(view, fault) == want, (sorted(active), fault)
 
 
+def _assert_changed_exact(oracle, view, eid, faults):
+    """changed() agrees with breaks() on a full state after the removal."""
+    for fault in faults:
+        base = oracle.state(view, fault)
+        want = oracle.breaks(base, oracle.state(view, (*fault, eid)))
+        got = oracle.changed(base, view, fault, eid)
+        assert got == want, (oracle.roots, oracle.protected, fault, eid)
+
+
 def test_changed_recomputes_one_component_exactly():
-    # changed() recomputes only the component holding both ends of the
-    # removed edge; it must agree with a full state for every edge and fault.
+    # changed() searches from the removed edge's tail inside the one
+    # component that holds both ends (and, for s-t, recomputes that
+    # component when it splits); it must agree with a full state for every
+    # edge and fault.
     rng = random.Random(71)
     for _ in range(25):
         g = loopy_multigraph(rng, rng.randrange(3, 7))
@@ -149,8 +161,93 @@ def test_changed_recomputes_one_component_exactly():
             oracle = ConnectivityOracle(g, spec)
             view = oracle.bind(active)
             for eid in ids:
-                for fault in fault_sets_colex(active - {eid}, 2):
-                    base = oracle.state(view, fault)
-                    want = oracle.breaks(base, oracle.state(view, (*fault, eid)))
-                    got = oracle.changed(base, view, fault, eid)
-                    assert got == want, (spec.kind, sorted(active), fault, eid)
+                _assert_changed_exact(oracle, view, eid, fault_sets_colex(active - {eid}, 2))
+
+
+# s = 0 lies on two cycles, 0-1-0 through t = 1 and 0-2-3-0 without it;
+# dropping 2->3 (edge 3) splits the component of s but keeps s with t.
+_TWO_CYCLES = DiGraph(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0)])
+# The far cycle 0-2-3-0 has a chord 2->0 (edge 5), so 2->3 (edge 3) splits
+# the component only under the fault {5}; a self-loop and a parallel
+# edge on the near cycle ride along.
+_CHORDED = DiGraph(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0), (2, 0), (1, 1), (0, 1)])
+# Two far cycles through s, of which only 0-2-4-0 loses its edge 2->4
+# (edge 5); t = 1 is on a third cycle.
+_THREE_CYCLES = DiGraph(
+    5, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0), (2, 4), (4, 0), (3, 2)]
+)
+
+
+def test_changed_st_split_keeps_s_with_t():
+    # Dropping the edge splits C while s and t stay strongly connected:
+    # s-t must not break, single-source must.
+    cases = ((_TWO_CYCLES, 3, ()), (_CHORDED, 3, (5,)), (_THREE_CYCLES, 5, ()))
+    for g, eid, fault in cases:
+        st = ConnectivityOracle(g, VariantSpec.st(0, 1))
+        single = ConnectivityOracle(g, VariantSpec.single_source(0))
+        for oracle, want in ((st, False), (single, True)):
+            view = oracle.bind(g.edge_ids())
+            base = oracle.state(view, fault)
+            after = oracle.state(view, (*fault, eid))
+            assert base[0] != after[0]  # the component of s split
+            assert oracle.breaks(base, after) is want
+            assert oracle.changed(base, view, fault, eid) is want
+
+
+def test_changed_st_split_graphs_every_edge_and_fault():
+    # On the same graphs, every edge and fault set up to size 2, for s-t
+    # in both directions, s-t with t on the far cycle, and single-source.
+    for g in (_TWO_CYCLES, _CHORDED, _THREE_CYCLES):
+        specs = (
+            VariantSpec.st(0, 1),
+            VariantSpec.st(1, 0),
+            VariantSpec.st(0, 3),
+            VariantSpec.single_source(0),
+        )
+        for spec in specs:
+            oracle = ConnectivityOracle(g, spec)
+            view = oracle.bind(g.edge_ids())
+            for eid in sorted(g.edge_ids()):
+                faults = fault_sets_colex(g.edge_ids() - {eid}, 2)
+                _assert_changed_exact(oracle, view, eid, faults)
+
+
+def test_changed_parallel_twins(monkeypatch):
+    # Edges 0 and 1 are parallel 0->1 on the cycle 0-1-2-0: removing one
+    # while its twin survives answers False without a search; once the
+    # twin is faulted the tail-to-head search runs and the cycle breaks.
+    searches = []
+
+    def counting(adj, start, goal):
+        searches.append((start, goal))
+        return reaches(adj, start, goal)
+
+    monkeypatch.setattr(variants, "reaches", counting)
+    g = DiGraph(3, [(0, 1), (0, 1), (1, 2), (2, 0)])
+    for spec, _, _ in variant_checks(g):
+        oracle = ConnectivityOracle(g, spec)
+        view = oracle.bind(g.edge_ids())
+        for eid, twin in ((0, 1), (1, 0)):
+            searches.clear()
+            assert oracle.changed(oracle.state(view), view, (), eid) is False
+            assert searches == []
+            base = oracle.state(view, (twin,))
+            assert oracle.breaks(base, oracle.state(view, (twin, eid))) is True
+            assert oracle.changed(base, view, (twin,), eid) is True
+            assert searches == [(0b001, 0b010)]
+
+
+def test_changed_fault_sets_up_to_three_on_loopy_multigraphs():
+    # Loopy multigraphs with n <= 5, every edge (self-loops and inactive
+    # edges included) and every fault set of at most 3 other active edges,
+    # for all five variants.
+    rng = random.Random(89)
+    for _ in range(10):
+        g = loopy_multigraph(rng, rng.randrange(2, 6))
+        ids = sorted(g.edge_ids())
+        active = set(ids) if rng.random() < 0.5 else set(rng.sample(ids, len(ids) - 1))
+        for spec, _, _ in variant_checks(g):
+            oracle = ConnectivityOracle(g, spec)
+            view = oracle.bind(active)
+            for eid in ids:
+                _assert_changed_exact(oracle, view, eid, fault_sets_colex(active - {eid}, 3))
