@@ -12,6 +12,21 @@ phi-expanding, emit U as the top level, then recurse on the strongly
 connected components of the rest.  phi-expanding terminal sets are
 (ceil(k/phi), k)-unbreakable, every SCC below the top level has at most
 half the vertices, and the level count is at most ceil(log2 n) + 1.
+
+The exact sparse-cut search scores every side S from one boundary table
+per subgraph: b[S] counts the non-loop edges leaving S.  For v the highest
+vertex of S and R = S - {v}, the edges leaving S are those leaving R
+except the ones into v, plus the ones leaving v except the ones into R:
+
+    b[S] = b[R] + outdeg(v) - c(v -> R) - c(R -> v)
+
+(self-loops not in outdeg, parallel edges counted with multiplicity).  The
+masks with highest vertex v are the block [2^v, 2^(v+1)), so the table grows
+one block per vertex.  The block's increments
+w_v[R] = outdeg(v) - c(v -> R) - c(R -> v) grow the same way, one doubling
+per u < v that subtracts m(v, u) + m(u, v).  The table depends on the graph
+only, so the hierarchy build makes one per subgraph and rescans it for each
+shrinking terminal set.
 """
 
 from __future__ import annotations
@@ -21,11 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import add
 
 from . import limits
 from .digraph import DiGraph, mask_to_set, out_masks, scc, scc_masks, set_to_mask
 from .errors import CapabilityError, InputError
-from .flowcut import Cut, bind, boundary_edges, make_cut
+from .flowcut import Cut, bind, make_cut
 from .variants import fault_sets_colex
 
 
@@ -120,7 +136,7 @@ def giant_component_check(
     return True
 
 
-def _side_ratio(g: DiGraph, side_mask: int, u_mask: int, heads_with_mult):
+def _side_ratio(side_mask: int, u_mask: int, heads_with_mult):
     """(boundary size, min terminal side) of one cut, or None if U not separated."""
     inside = (side_mask & u_mask).bit_count()
     outside = (u_mask & ~side_mask).bit_count()
@@ -138,6 +154,54 @@ def _side_ratio(g: DiGraph, side_mask: int, u_mask: int, heads_with_mult):
     return boundary, small
 
 
+def _boundary_table(g: DiGraph) -> list[int]:
+    """b[S] = number of non-loop edges from S to V - S, for all 2^n masks S.
+
+    Built by the recurrence in the module docstring, one block of masks per
+    highest vertex v: b[2^v + R] = b[R] + w_v[R] for R < 2^v, where
+    w_v[R] = outdeg(v) - sum over u in R of m(v, u) + m(u, v).  Doubling w
+    for u = 0 .. v-1 appends the masks that hold u, each one with
+    m(v, u) + m(u, v) subtracted.
+    """
+    n = g.n
+    both = [[0] * n for _ in range(n)]  # both[v][u] = m(v, u) + m(u, v)
+    outdeg = [0] * n
+    for e in g.edges:
+        if e.tail != e.head:
+            outdeg[e.tail] += 1
+            both[e.tail][e.head] += 1
+            both[e.head][e.tail] += 1
+    table = [0]
+    for v in range(n):
+        w = [outdeg[v]]
+        for u in range(v):
+            c = both[v][u]
+            w += list(map((-c).__add__, w)) if c else w
+        table += list(map(add, table, w))
+    return table
+
+
+def _sparsest_side(table: list[int], u_mask: int, phi: Fraction) -> int | None:
+    """Smallest side mask of minimum ratio b[S] / min-terminal-side, if <= phi.
+
+    Scans the masks in ascending order and keeps a side only on a strictly
+    smaller ratio, so ties go to the smallest mask.  Masks that leave every
+    terminal on one side (0 and the full mask among them) are skipped.
+    """
+    total = u_mask.bit_count()
+    best_boundary, best_small, best_mask = 1, 0, 0  # ratio 1/0: none yet
+    for mask, boundary in enumerate(table):
+        inside = (mask & u_mask).bit_count()
+        if inside == 0 or inside == total:
+            continue
+        small = inside if 2 * inside <= total else total - inside
+        if boundary * best_small < best_boundary * small:
+            best_boundary, best_small, best_mask = boundary, small, mask
+    if best_small == 0 or Fraction(best_boundary, best_small) > phi:
+        return None
+    return best_mask
+
+
 def sparsest_cut_wrt(
     g: DiGraph, terminals, phi, exact_limit: int | None = None
 ) -> Cut | None:
@@ -145,7 +209,14 @@ def sparsest_cut_wrt(
 
     Returns the minimum-ratio cut (smallest side bitmask among ties) when its
     ratio is at most phi, otherwise None, meaning the terminal set is
-    phi-expanding.
+    phi-expanding.  The boundary counts edges leaving the side.
+
+    Every side's boundary comes from one table of 2^n counts built by the
+    subset recurrence b[S] = b[R] + outdeg(v) - c(v -> R) - c(R -> v), with
+    v the highest vertex of S and R = S - {v}: of the edges leaving R, those
+    into v no longer leave S, and of the non-loop edges leaving v, those
+    into R stay inside S.  Raises CapabilityError past ``exact_limit``
+    before the table is built.
     """
     U = frozenset(terminals)
     if len(U) < 2:
@@ -157,27 +228,8 @@ def sparsest_cut_wrt(
         raise CapabilityError(
             f"exact sparse-cut search infeasible at n={g.n} (limit {cap})"
         )
-    phi = Fraction(phi)
-    u_mask = set_to_mask(U)
-    heads = [[] for _ in range(g.n)]
-    for e in g.edges:
-        if e.tail != e.head:
-            heads[e.tail].append(e.head)
-    best = None  # (boundary, small, mask)
-    for side_mask in range(1, (1 << g.n) - 1):
-        scored = _side_ratio(g, side_mask, u_mask, heads)
-        if scored is None:
-            continue
-        boundary, small = scored
-        if best is None or boundary * best[1] < best[0] * small:
-            best = (boundary, small, side_mask)
-    if best is None:
-        return None
-    boundary, small, mask = best
-    if Fraction(boundary, small) > phi:
-        return None
-    side = frozenset(v for v in range(g.n) if (mask >> v) & 1)
-    return Cut(side=side, direction="out", boundary=boundary_edges(g, side, "out"))
+    mask = _sparsest_side(_boundary_table(g), set_to_mask(U), Fraction(phi))
+    return None if mask is None else make_cut(g, mask_to_set(mask))
 
 
 def _heuristic_sparse_cut(g: DiGraph, terminals, phi, rng) -> Cut | None:
@@ -198,7 +250,7 @@ def _heuristic_sparse_cut(g: DiGraph, terminals, phi, rng) -> Cut | None:
     full = (1 << g.n) - 1
 
     def ratio_of(mask):
-        scored = _side_ratio(g, mask, u_mask, heads)
+        scored = _side_ratio(mask, u_mask, heads)
         if scored is None:
             return None
         return Fraction(scored[0], scored[1])
@@ -229,8 +281,7 @@ def _heuristic_sparse_cut(g: DiGraph, terminals, phi, rng) -> Cut | None:
         if cur is not None and (best_ratio is None or cur < best_ratio):
             best_mask, best_ratio = mask, cur
     if best_ratio is not None and best_ratio <= phi:
-        side = frozenset(v for v in range(g.n) if (best_mask >> v) & 1)
-        return Cut(side=side, direction="out", boundary=boundary_edges(g, side, "out"))
+        return make_cut(g, mask_to_set(best_mask))
     return None
 
 
@@ -257,11 +308,19 @@ class ExpanderHierarchy:
 
 
 def _expanding_terminals(sub: DiGraph, params: HierarchyParams, rng, state) -> set:
-    """Shrink U = V(sub) along sparse cuts until it is phi-expanding."""
+    """Shrink U = V(sub) along sparse cuts until it is phi-expanding.
+
+    Within the exact limit, one boundary table of sub serves every round:
+    only the terminal set changes between rounds, and the scan is the one
+    :func:`sparsest_cut_wrt` runs, so each round finds the same cut.
+    """
+    exact = sub.n <= params.exact_cut_limit
+    table = _boundary_table(sub) if exact else None
     terminals = set(range(sub.n))
     while len(terminals) >= 2:
-        if sub.n <= params.exact_cut_limit:
-            cut = sparsest_cut_wrt(sub, terminals, params.phi, params.exact_cut_limit)
+        if exact:
+            mask = _sparsest_side(table, set_to_mask(terminals), params.phi)
+            cut = None if mask is None else make_cut(sub, mask_to_set(mask))
         else:
             state["exact"] = False
             cut = _heuristic_sparse_cut(sub, terminals, params.phi, rng)

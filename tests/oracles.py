@@ -4,6 +4,7 @@ Everything here works on plain dict adjacency and python sets, on purpose:
 no bitmasks, no residual graphs, no shared code with the library kernels.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -237,3 +238,45 @@ def unbreakable_ref(g, terminals, q, k):
             if len(side & U) > q and len(U - side) > q:
                 return False
     return True
+
+
+def unbreakable_witness_ref(g, terminals, q, k):
+    """Side of the first failing (A, B) pair, or None when unbreakable.
+
+    The pair order of ``is_unbreakable``, on the 2^n side scans above:
+    (q+1)-subsets A, then disjoint B, in ``combinations`` order over the
+    sorted terminals; the witness is the inclusion-maximal minimum (A, B)-cut
+    side of the first pair with min cut <= k.
+    """
+    U = sorted(terminals)
+    if len(U) <= 2 * q + 1:
+        return None
+    for A in combinations(U, q + 1):
+        rest = [b for b in U if b not in A]
+        for B in combinations(rest, q + 1):
+            if min_cut_ref(g, A, B) <= k:
+                return maximal_min_cut_side(g, A, B)
+    return None
+
+
+def sparsest_cut_ref(g, terminals, phi):
+    """(side, out-boundary ids) of the sparsest cut if its ratio is <= phi.
+
+    Every side is scored from the edge list.  Sides are visited in
+    ascending order of their bitmask sum(2^v) and a later side wins only
+    with a strictly smaller ratio, so ties go to the smallest mask.
+    """
+    U = set(terminals)
+    best = None  # (ratio, side, boundary)
+    for mask in range(1, (1 << g.n) - 1):
+        side = {v for v in range(g.n) if mask >> v & 1}
+        small = min(len(U & side), len(U - side))
+        if small == 0:
+            continue
+        boundary = {e.id for e in g.edges if e.tail in side and e.head not in side}
+        ratio = Fraction(len(boundary), small)
+        if best is None or ratio < best[0]:
+            best = (ratio, frozenset(side), frozenset(boundary))
+    if best is None or best[0] > Fraction(phi):
+        return None
+    return best[1], best[2]

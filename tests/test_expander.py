@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sccpreserve import expander
 from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import CapabilityError, InputError
 from sccpreserve.expander import (
@@ -15,8 +16,8 @@ from sccpreserve.expander import (
 )
 from sccpreserve.families import gen_random
 
-from conftest import bidirected_k4, directed_path
-from oracles import unbreakable_ref
+from conftest import bidirected_k4, directed_path, loopy_multigraph
+from oracles import sparsest_cut_ref, unbreakable_ref, unbreakable_witness_ref
 
 
 def test_small_terminal_sets_vacuously_unbreakable():
@@ -62,6 +63,28 @@ def test_unbreakable_witness_is_a_real_violation():
         assert len(side & terminals) > 1 and len(terminals - side) > 1
 
 
+def test_unbreakable_witness_is_first_failing_pair():
+    # the witness is the farthest min cut of the first failing pair in
+    # combinations order
+    rng = random.Random(41)
+    for trial in range(60):
+        n = rng.randrange(4, 9)
+        g = loopy_multigraph(rng, n)
+        if trial % 2:  # strongly connected hosts
+            g = g.add_edges([(v, (v + 1) % n) for v in range(n)])
+        terminals = rng.sample(range(n), rng.randrange(2, n + 1))
+        for q in (1, 2):
+            for k in (0, 1, 2):
+                res = is_unbreakable(g, terminals, q, k)
+                side = unbreakable_witness_ref(g, terminals, q, k)
+                assert res.unbreakable == (side is None)
+                if side is not None:
+                    assert res.witness.side == side
+                    assert res.witness.boundary == frozenset(
+                        e.id for e in g.edges if e.tail in side and e.head not in side
+                    )
+
+
 def test_unbreakable_pair_guard():
     g = gen_random(14, 20, 0)
     with pytest.raises(CapabilityError):
@@ -99,11 +122,114 @@ def test_sparsest_cut_bidirected_pair():
     assert len(cut.boundary) == 1
 
 
-def test_sparsest_cut_guard_and_validation():
+def test_sparsest_cut_guard_and_validation(monkeypatch):
     with pytest.raises(InputError):
         sparsest_cut_wrt(directed_path(4), {0}, Fraction(1, 2))
     with pytest.raises(CapabilityError):
         sparsest_cut_wrt(gen_random(20, 30, 0), range(20), Fraction(1, 2), exact_limit=18)
+
+    # raised before any table of 2^40 entries is built; a table built first
+    # fails here instead of exhausting memory
+    def no_table(g):
+        raise AssertionError(f"boundary table built at n={g.n}")
+
+    monkeypatch.setattr(expander, "_boundary_table", no_table)
+    with pytest.raises(CapabilityError):
+        sparsest_cut_wrt(gen_random(40, 60, 0), range(40), Fraction(1, 2), exact_limit=18)
+
+
+def _cut_hosts(rng):
+    """Loopy multigraphs with antiparallel pairs and extra parallel edges,
+    and strongly connected random graphs."""
+    for trial in range(120):
+        n = rng.randrange(2, 9)
+        if trial % 3 == 0:
+            yield gen_random(n, rng.randrange(n, 3 * n), 700 + trial,
+                             ensure_strongly_connected=True)
+            continue
+        g = loopy_multigraph(rng, n)
+        picks = [rng.choice(g.edges) for _ in range(rng.randrange(1, 4))]
+        yield g.add_edges(
+            [(e.head, e.tail) for e in picks] + [(e.tail, e.head) for e in picks[:1]]
+        )
+
+
+def test_sparsest_cut_matches_reference():
+    rng = random.Random(31)
+    found = absent = 0
+    for g in _cut_hosts(rng):
+        terminals = rng.sample(range(g.n), rng.randrange(2, g.n + 1))
+        for phi in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            cut = sparsest_cut_wrt(g, terminals, phi)
+            ref = sparsest_cut_ref(g, terminals, phi)
+            if ref is None:
+                assert cut is None
+                absent += 1
+            else:
+                assert (cut.side, cut.boundary) == ref
+                found += 1
+    assert found > 50 and absent > 50
+
+
+def _expanding_terminals_fresh(sub, params, rng, state):
+    # the hierarchy's shrinking loop with one full search per round
+    terminals = set(range(sub.n))
+    while len(terminals) >= 2:
+        cut = sparsest_cut_wrt(sub, terminals, params.phi, params.exact_cut_limit)
+        if cut is None:
+            break
+        exits = {sub.edge(eid).tail for eid in cut.boundary}
+        before = len(terminals)
+        if len(cut.side) <= sub.n / 2:
+            terminals = (terminals - cut.side) | exits
+        else:
+            terminals = (terminals - (set(range(sub.n)) - cut.side)) | exits
+        if len(terminals) >= before:
+            raise InputError("a sparse cut did not shrink the terminal set")
+    return terminals
+
+
+def _hierarchy_outcome(g, params):
+    try:
+        hier = build_hierarchy(g, params)
+    except InputError:
+        return "no shrink"
+    return hier.levels, hier.certificates, hier.exact
+
+
+def test_hierarchy_table_reuse_matches_fresh_search(monkeypatch):
+    rng = random.Random(43)
+    graphs = list(_cut_hosts(rng))[:40]
+    graphs += [gen_random(n, 3 * n, 900 + n, ensure_strongly_connected=True)
+               for n in range(9, 13)]
+    built = 0
+    for phi in (Fraction(1, 2), Fraction(1)):
+        params = HierarchyParams(q=2, k=1, phi=phi)
+        reused = [_hierarchy_outcome(g, params) for g in graphs]
+        with monkeypatch.context() as patch:
+            patch.setattr(expander, "_expanding_terminals", _expanding_terminals_fresh)
+            fresh = [_hierarchy_outcome(g, params) for g in graphs]
+        assert reused == fresh
+        built += sum(r != "no shrink" for r in reused)
+    assert built > 40
+
+
+def test_hierarchy_past_exact_limit_builds_no_table(monkeypatch):
+    table = expander._boundary_table
+    sizes = []
+
+    def guarded(g):
+        sizes.append(g.n)
+        if g.n > 10:
+            raise AssertionError(f"boundary table built at n={g.n}")
+        return table(g)
+
+    monkeypatch.setattr(expander, "_boundary_table", guarded)
+    g = DiGraph(24, [(i, (i + 1) % 24) for i in range(24)] + [(0, 12), (12, 0)])
+    hier = build_hierarchy(g, HierarchyParams(q=2, k=1, exact_cut_limit=10),
+                           verify_certificates=False)
+    assert not hier.exact
+    assert sorted(v for level in hier.levels for v in level) == list(range(24))
 
 
 def test_hierarchy_k4_single_level():
