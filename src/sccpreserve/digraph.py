@@ -238,25 +238,41 @@ def reach_mask(adj: list[int], start: int) -> int:
     return reached
 
 
-def reaches(adj: list[int], start: int, goal: int) -> bool:
-    """Whether the start mask reaches a vertex of the goal mask.
+def shortest_path(adj: list[int], start: int, goal: int) -> list[int] | None:
+    """Vertices of a shortest start-goal path, both ends included, or None.
 
-    The search of :func:`reach_mask`, stopped at the first frontier that
-    meets the goal; the answer is ``bool(reach_mask(adj, start) & goal)``.
+    The frontier search of :func:`reach_mask`, stopped at the first
+    frontier that holds the goal and keeping the frontiers before it; None
+    exactly when ``reach_mask(adj, 1 << start)`` misses the goal.  The path
+    is walked back from the goal through the lowest vertex of each earlier
+    frontier with an arc to the vertex after it.
     """
-    reached = start
-    frontier = start
-    while frontier:
-        if frontier & goal:
-            return True
+    goal_bit = 1 << goal
+    levels = []
+    reached = frontier = 1 << start
+    while not frontier & goal_bit:
+        levels.append(frontier)
         nxt = 0
         while frontier:
             b = frontier & -frontier
             frontier ^= b
             nxt |= adj[b.bit_length() - 1]
         frontier = nxt & ~reached
+        if not frontier:
+            return None
         reached |= frontier
-    return False
+    path = [goal]
+    for level in reversed(levels):
+        bit = 1 << path[-1]
+        while True:
+            b = level & -level
+            v = b.bit_length() - 1
+            if adj[v] & bit:
+                break
+            level ^= b
+        path.append(v)
+    path.reverse()
+    return path
 
 
 def closure_masks(adj: list[int]) -> list[int]:

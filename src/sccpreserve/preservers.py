@@ -16,6 +16,13 @@ nothing.
 
 Different scan orders give different edge-minimal preservers; all of them
 pass the exhaustive verifier, and this one is fixed for reproducibility.
+
+Each criticality question goes to one
+:class:`~sccpreserve.variants.CriticalityScan`, which answers it by a
+best-first search over fault sets that branches on the hops of a
+tail-to-head path and returns the colex-first witness, exactly as a sweep
+over all fault sets would.  ``stats["oracle_calls"]`` counts the search's
+nodes, one ``changed`` call each.
 """
 
 from __future__ import annotations
@@ -57,7 +64,9 @@ def is_ft_critical(
     in (g-e)-F for a fault set of size at most k (for the global variant,
     g-F strongly connected but (g-e)-F not).  Fault sets containing e never
     witness anything and are skipped; the first witness in colex order is
-    returned.
+    returned.  It is found by the best-first search of
+    :class:`~sccpreserve.variants.CriticalityScan`, which visits at most the
+    fault sets that ``limit`` bounds.
     """
     e = g.edge(edge_id)
     if e.tail == e.head:

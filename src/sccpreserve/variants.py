@@ -20,26 +20,31 @@ set.  So the oracle binds an active set once into an :class:`EdgeView`
 fault copies those masks and clears at most |F| bits.  On top of the view,
 two exact shortcuts skip work.  :meth:`ConnectivityOracle.changed` finds
 the one component that can break and tests the removed edge as a strong
-bridge of it: one search from the edge's tail, stopped at its head, in
-place of a new state.  :meth:`ConnectivityOracle.first_counterexample`
+bridge of it: one shortest-path search from the edge's tail, stopped at its
+head, in place of a new state.  :meth:`ConnectivityOracle.first_counterexample`
 computes the subgraph's state first and skips the graph's when nothing can
 be lost.
 
-Fault sets are enumerated in colexicographic edge-id order, which equals
+Fault sets are ordered colexicographically by edge id, which equals
 ascending order of the subset bitmask: the empty set first, then subsets by
 largest member.  Every "first witness" and "first counterexample" in the
-package is defined against this order, and both are found here, each by
-one loop over fault sets: :class:`CriticalityScan` (does dropping one edge
-break a protected pair?) and :meth:`ConnectivityOracle.first_counterexample`
-(does a subgraph lose a protected pair that the graph keeps?).
+package is defined against this order, and both are found here.
+:meth:`ConnectivityOracle.first_counterexample` (does a subgraph lose a
+protected pair that the graph keeps?) takes one loop over the fault sets
+of :func:`fault_sets_colex`.  :class:`CriticalityScan` (does dropping one
+edge break a protected pair?) searches them best-first instead: a fault set
+that does not break the pair branches only on the hops of the path that
+``changed`` found, and the search still meets the colex-first witness
+first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .digraph import DiGraph, reach_mask, reaches
+from .digraph import DiGraph, reach_mask, shortest_path
 from .errors import InputError
 
 ALL_PAIRS = "all_pairs"
@@ -123,14 +128,16 @@ class EdgeView(NamedTuple):
     """The masks of one active edge set, ready to lose a fault's edges.
 
     ``out``/``inn`` are the out- and in-neighbour masks of g[active] with
-    self-loops skipped; ``drop`` maps each active non-loop edge id to
-    ``(tail, head, twins)``, where ``twins`` are the other active edges
-    from the same tail to the same head.
+    self-loops skipped.  ``pairs`` maps each (tail, head) of an active
+    non-loop edge to its hop: the active edges from that tail to that head,
+    as a mask of edge ids (bit i for id i).  ``drop`` maps each active
+    non-loop edge id to ``(tail, head, hop)``.
     """
 
     out: tuple
     inn: tuple
     drop: dict
+    pairs: dict
 
 
 class ConnectivityOracle:
@@ -145,7 +152,9 @@ class ConnectivityOracle:
     * ``protected``: one mask per root, the vertices that must stay strongly
       connected with it: every other vertex, or only t for s-t;
     * ``whole``: set for global, whose single protected fact is that root
-      0's component is all of V.
+      0's component is all of V;
+    * ``loose``: set when some root protects less than every other vertex
+      (s-t with n > 2).
 
     An active edge set is bound once, with :meth:`bind`, into an
     :class:`EdgeView`; ``state(view, fault)`` is then the tuple of the
@@ -175,40 +184,44 @@ class ConnectivityOracle:
         else:
             self.protected = tuple(self.full & ~bit for bit in self.root_bits)
         self.whole = spec.kind == GLOBAL
+        self.loose = any(
+            protected | bit != self.full
+            for protected, bit in zip(self.protected, self.root_bits)
+        )
 
     def bind(self, active) -> EdgeView:
         """The :class:`EdgeView` of g[active]; ids outside g are ignored.
 
-        Parallel edges share one mask bit, so an edge may clear its bit only
-        when every active twin is faulted too: the pair (tail, head) stays
-        adjacent in g[active] - F while any of its active edges survives.
+        Parallel edges share one mask bit, so a fault clears the bit only
+        when it holds the whole hop: the pair (tail, head) stays adjacent in
+        g[active] - F while any of its active edges survives.
         """
         n = self.n
         out = [0] * n
         inn = [0] * n
-        twins: dict[tuple, list] = {}
+        pairs: dict[tuple, int] = {}
         for e in self.g.edges:
             if e.id in active and e.tail != e.head:
                 out[e.tail] |= 1 << e.head
                 inn[e.head] |= 1 << e.tail
-                twins.setdefault((e.tail, e.head), []).append(e.id)
+                pair = (e.tail, e.head)
+                pairs[pair] = pairs.get(pair, 0) | 1 << e.id
         drop = {}
-        for (tail, head), eids in twins.items():
-            for eid in eids:
-                drop[eid] = (tail, head, tuple(t for t in eids if t != eid))
-        return EdgeView(tuple(out), tuple(inn), drop)
+        for (tail, head), hop in pairs.items():
+            for eid in _ids(hop):
+                drop[eid] = (tail, head, hop)
+        return EdgeView(tuple(out), tuple(inn), drop, pairs)
 
     def _masks(self, view: EdgeView, fault):
         """Out- and in-masks of the view minus ``fault`` (any id container)."""
         out = list(view.out)
         inn = list(view.inn)
         drop = view.drop
+        faulted = _id_mask(fault)
         for eid in fault:
             entry = drop.get(eid)
-            if entry is None:
-                continue
-            tail, head, twins = entry
-            if not twins or all(t in fault for t in twins):
+            if entry is not None and not entry[2] & ~faulted:
+                tail, head, _ = entry
                 out[tail] &= ~(1 << head)
                 inn[head] &= ~(1 << tail)
         return out, inn
@@ -230,31 +243,43 @@ class ConnectivityOracle:
             comps.append(comp)
         return tuple(comps)
 
-    def changed(self, base_state, view: EdgeView, fault, removed: int) -> bool:
+    def changed(
+        self, base_state, view: EdgeView, fault, removed: int, hops=None
+    ) -> bool:
         """Does removing ``removed`` on top of ``fault`` break a protected fact?
 
         ``base_state`` is ``state(view, fault)``; the answer equals
         ``breaks(base_state, state(view, fault + (removed,)))``.  It is found
-        by one search from the edge's tail, plus a full recomputation of one
-        component only for s-t.
+        by one shortest-path search from the edge's tail, plus, for s-t
+        only, one search each way between s and t.
+
+        A False answer comes in two kinds.  A prune: no fault set that
+        contains ``fault`` makes the removal break anything.  Otherwise a
+        certificate: when ``hops`` is a list, the hops of a path that keeps
+        the removal harmless are appended to it, each as the mask of its
+        active edges outside the fault and the removed edge.  Every fault
+        set F' that contains ``fault`` and under which the removal breaks a
+        fact holds all of some hop's edges.
 
         Prune: removing an edge can shrink a root's component only if both
         of its ends are in that component.  A vertex v leaves the component
         of root r only if every closed walk through r and v uses the edge;
         such a walk exists, and every vertex on it, both ends of the edge
         included, is in the component.  So unless some root's component C
-        holds both ends and a protected vertex, nothing breaks; an s-t pair
-        that is already broken answers at once.  Under global, nothing
-        breaks unless the baseline component is all of V.  An edge outside
-        the view (inactive, or a self-loop) or with an active twin outside
-        the fault takes no adjacency away, and nothing breaks either.
+        holds both ends and a protected vertex, nothing breaks.  Under s-t
+        (``loose``) the prune reads only whether C holds t (see
+        :class:`CriticalityScan` for why).  Under global, nothing breaks
+        unless the baseline component is all of V.  An edge outside the view
+        (inactive, or a self-loop) never breaks anything.  Components only
+        shrink as the fault grows, so each prune holds for every superset.
 
-        Strong-bridge test (Italiano, Laura and Santaroni): C is strongly
-        connected in active - F and holds both ends of e = (u, v).  If u
-        still reaches v in active - F - e, every walk through e detours
-        along that path, so no two vertices drop apart anywhere.  If not, u
-        and v drop apart, and C splits.  So one search from u, stopped when
-        it meets v, decides whether C survives.
+        Strong-bridge test (Italiano, Laura and Santaroni): if u still
+        reaches v in active - F - e, for e = (u, v), every walk through e
+        detours along that path, so no reachability changes and no fact
+        breaks; a fault set that breaks one must cut the path, that is hold
+        a whole hop of it.  An active twin of e outside F is such a path of
+        one hop.  If u does not reach v and C is strongly connected in
+        active - F and holds both ends, u and v drop apart, and C splits.
 
         One component: components are disjoint, so C is the only one that
         holds both ends, and the components of roots outside C do not
@@ -263,44 +288,52 @@ class ConnectivityOracle:
         (all-pairs, sourcewise, single-source, global with C = V, and s-t
         with C = {s, t}), the split breaks a fact, and the first root whose
         component qualifies stands for all of them.  Otherwise (s-t with a
-        larger C), C may split with s and t on the same side, so s's new
-        out-reach and in-reach are checked against t, the in-reach skipped
-        when the out-reach already misses it.
+        larger C, or with an end of e outside C), the pair breaks exactly
+        when s no longer reaches t or t no longer reaches s in active - F -
+        e; when both paths survive, a breaking fault set must cut one of
+        them, and their hops are the certificate.
         """
         drop = view.drop
         entry = drop.get(removed)
         if entry is None:
             return False
-        tail, head, twins = entry
+        tail, head, hop = entry
         if self.whole and base_state[0] != self.full:
             return False
         both = (1 << tail) | (1 << head)
-        for comp, protected, bit in zip(base_state, self.protected, self.root_bits):
-            if comp & both == both and comp & protected:
+        loose = self.loose
+        for comp, protected, root in zip(base_state, self.protected, self.roots):
+            if comp & protected and (loose or comp & both == both):
                 break
         else:
             return False
-        for twin in twins:
-            if twin not in fault:
-                return False
+        faulted = _id_mask(fault) | 1 << removed
+        if hop & ~faulted:
+            if hops is not None:
+                hops.append(hop & ~faulted)
+            return False
         out = list(view.out)  # the out-masks of _masks, without the in-masks
         for eid in fault:
             entry = drop.get(eid)
-            if entry is None:
-                continue
-            f_tail, f_head, f_twins = entry
-            if not f_twins or all(t in fault for t in f_twins):
-                out[f_tail] &= ~(1 << f_head)
+            if entry is not None and not entry[2] & ~faulted:
+                out[entry[0]] &= ~(1 << entry[1])
         out[tail] &= ~(1 << head)
-        if reaches(out, 1 << tail, 1 << head):
-            return False
-        at_risk = comp & protected
-        if at_risk == comp & ~bit:
-            return True
-        out, inn = self._masks(view, (*fault, removed))
-        if at_risk & ~reach_mask(out, bit):
-            return True
-        return bool(at_risk & ~reach_mask(inn, bit))
+        path = shortest_path(out, tail, head)
+        if path is None:
+            at_risk = comp & protected
+            if comp & both == both and at_risk == comp & ~(1 << root):
+                return True
+            t = _low_bit(at_risk)
+            there = shortest_path(out, root, t)
+            back = there and shortest_path(out, t, root)
+            if not back:
+                return True
+            path = there + back[1:]
+        if hops is not None:
+            pairs = view.pairs
+            for pair in zip(path, path[1:]):
+                hops.append(pairs[pair] & ~faulted)
+        return False
 
     # -- verification helpers (graph vs. subgraph under the same faults) --
 
@@ -365,28 +398,57 @@ class CriticalityScan:
 
     An active edge e is critical when, for some fault set F of at most k
     other active edges, dropping e from ``active - F`` breaks a protected
-    pair.  Self-loops never carry connectivity and are never critical.  The
-    active set is bound once into an edge view and bound again by
-    :meth:`remove`.  The baseline state of ``active - F`` does not depend
-    on e, so it is cached per F and shared by every edge.
+    pair; such an F is a witness.  Self-loops never carry connectivity and
+    are never critical.  The active set is bound once into an edge view and
+    bound again by :meth:`remove`.  The baseline state of ``active - F``
+    does not depend on e, so it is cached per F and shared by every edge.
+
+    :meth:`first_witness` returns the colex-first witness without sweeping
+    all fault sets: it searches fault sets best-first.  A node is a fault
+    set F; nodes leave a heap in ascending bitmask order, which is colex
+    order.  ``changed`` answers each node once: True (F is the witness),
+    a prune (no superset of F is a witness) or the hops of a path that
+    keeps e harmless under F.  Each hop gives one child, F plus the hop's
+    active edges outside F and e, kept when it has at most k edges and was
+    not seen before.
+
+    Lemma: the search returns the colex-first witness w, or None when there
+    is none.  A witness meets two conditions: one that can only fail as F
+    grows (what the prune reads: the pair or component at stake is still
+    whole in active - F) and one that can only start to hold (the cut: no
+    detour for e survives in active - F - e).  So every witness that
+    contains a node F holds all of some hop of F's certificate and so
+    contains one of F's children.  Every subset of w has a smaller bitmask,
+    so none is a witness, and none is pruned, since w contains it.  So a
+    chain of children leads from the empty set to w, each node of it at
+    most k edges and a subset of w, and while w has not left the heap some
+    node of that chain is in it.  The heap therefore pops only sets below
+    w, none of them witnesses, until it pops w.  Hence every answer, and
+    every ``is_ft_critical`` witness and greedy output, is that of a sweep
+    over :func:`fault_sets_colex`; the search visits distinct fault sets
+    of at most k edges, so the ``limits`` bound on the sweep bounds it too.
 
     The cached states outlive :meth:`remove`, whose precondition is that
     the removed edge e was proved non-critical (``first_witness(e)`` found
-    no witness; ``greedy_preserver`` is the only caller).  Lemma: the
-    answers of :meth:`first_witness` do not change.  For every F <= active
-    - e with |F| <= k, dropping e from active - F breaks no protected fact.
-    Outside s-t, ``changed`` reads the cached state only to select the
-    component C that holds the removed edge's ends; the tail-to-head
-    search runs on the current view.  All-pairs, sourcewise and
+    no witness; ``greedy_preserver`` is the only caller).  Lemma: each
+    ``changed`` answer, certificate included, and so each search tree and
+    the count of ``changed`` calls, is the same as with fresh states.  For
+    every F <= active - e with |F| <= k, dropping e from active - F breaks
+    no protected fact.  ``changed`` reads the cached state only to prune
+    and to select the component C that holds the removed edge's ends; the
+    searches run on the current view.  All-pairs, sourcewise and
     single-source protect V - r for each root r, so each root's component
     in active - F - e equals the cached one and the same C is selected.
     For global, the cached root component is V exactly when the fresh one
     is.  For s-t, the cached component of s may be a superset of the fresh
-    one, but it holds t exactly when the fresh one does, and when it is
-    {s, t} so is the fresh one; ``changed`` then prunes less often,
-    recomputes the new reach in full when the search fails and gives the
-    same answer.  By induction this holds across any number of removals,
-    and fault sets that contain a removed edge are never enumerated again.
+    one: it holds t exactly when the fresh one does, which is all the s-t
+    prune reads, and when it is {s, t} so is the fresh one.  That last read
+    only answers True early; with the fresh states the s-to-t and t-to-s
+    searches that follow would answer True as well.  A prune on whether C
+    holds both ends of the edge would read more than the cached state gets
+    right, so s-t does without it.  By induction this holds across any
+    number of removals, and fault sets that contain a removed edge are
+    never visited again.
     """
 
     def __init__(self, oracle: ConnectivityOracle, active, k: int):
@@ -395,7 +457,7 @@ class CriticalityScan:
         self.view = oracle.bind(self.active)
         self.k = k
         self.base_states: dict[tuple, object] = {}
-        self.oracle_calls = 0  # changed() evaluations
+        self.oracle_calls = 0  # changed() evaluations, one per search node
 
     def _base(self, fault: tuple):
         state = self.base_states.get(fault)
@@ -409,10 +471,22 @@ class CriticalityScan:
         edge = self.oracle.g.edge(eid)
         if edge.tail == edge.head:
             return None
-        for fault in fault_sets_colex(self.active - {eid}, self.k):
+        changed, view, k = self.oracle.changed, self.view, self.k
+        heap = [(0, ())]
+        seen = {0}
+        hops: list[int] = []
+        while heap:
+            bits, fault = heappop(heap)
             self.oracle_calls += 1
-            if self.oracle.changed(self._base(fault), self.view, fault, eid):
+            if changed(self._base(fault), view, fault, eid, hops):
                 return fault
+            room = k - len(fault)
+            for hop in hops:
+                child = bits | hop
+                if hop.bit_count() <= room and child not in seen:
+                    seen.add(child)
+                    heappush(heap, (child, _ids(child)))
+            hops.clear()
         return None
 
     def broken_pair(self, fault: tuple, eid: int):
@@ -431,3 +505,19 @@ class CriticalityScan:
 
 def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
+
+
+def _id_mask(ids) -> int:
+    mask = 0
+    for eid in ids:
+        mask |= 1 << eid
+    return mask
+
+
+def _ids(mask: int) -> tuple:
+    ids = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        ids.append(bit.bit_length() - 1)
+    return tuple(ids)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sccpreserve.digraph import DiGraph, parse, reach_mask, reaches, scc, serialize
+from sccpreserve.digraph import DiGraph, parse, reach_mask, scc, serialize, shortest_path
 from sccpreserve.errors import InputError
 from sccpreserve.families import gen_random
 
@@ -160,8 +160,21 @@ def test_pickle_and_deepcopy_round_trip():
             assert sorted(clone.edge_ids()) == sorted(original.edge_ids())
 
 
-def test_reaches_equals_full_reach():
-    # The early-exit search answers exactly what the full reach set does,
+def _distance(adj, start, goal):
+    """Arcs on a shortest start-goal path by plain BFS, or None."""
+    dist = {start: 0}
+    queue = [start]
+    for v in queue:
+        for w in range(len(adj)):
+            if adj[v] >> w & 1 and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist.get(goal)
+
+
+def test_shortest_path_matches_full_reach():
+    # The early-exit search finds a path exactly when the full reach set
+    # holds the goal, and the path is a shortest one along existing arcs,
     # including from a start with no out-neighbours and with goal == start.
     rng = random.Random(83)
     for _ in range(400):
@@ -169,9 +182,16 @@ def test_reaches_equals_full_reach():
         adj = [rng.getrandbits(n) if rng.random() < 0.7 else 0 for _ in range(n)]
         v = rng.randrange(n)
         adj[v] = 0
-        starts = [1 << v, rng.getrandbits(n)]
-        for start in starts:
-            for goal in (start, 1 << rng.randrange(n), rng.getrandbits(n), 0):
-                assert reaches(adj, start, goal) == bool(reach_mask(adj, start) & goal)
-    assert reaches([0, 0], 0b01, 0b01)
-    assert not reaches([0, 0b01], 0b01, 0b10)
+        for start in (v, rng.randrange(n)):
+            for goal in (start, rng.randrange(n), rng.randrange(n)):
+                path = shortest_path(adj, start, goal)
+                assert (path is not None) == bool(reach_mask(adj, 1 << start) >> goal & 1)
+                if path is None:
+                    continue
+                assert path[0] == start and path[-1] == goal
+                assert all(adj[a] >> b & 1 for a, b in zip(path, path[1:]))
+                assert len(path) - 1 == _distance(adj, start, goal)
+    assert shortest_path([0, 0], 0, 0) == [0]
+    assert shortest_path([0, 0b01], 0, 1) is None
+    # two shortest paths 0-1-3 and 0-2-3: the walk back takes the lower one
+    assert shortest_path([0b0110, 0b1000, 0b1000, 0], 0, 3) == [0, 1, 3]

@@ -3,9 +3,14 @@ import random
 import pytest
 
 from sccpreserve import variants
-from sccpreserve.digraph import DiGraph, reaches
+from sccpreserve.digraph import DiGraph, shortest_path
 from sccpreserve.errors import InputError
-from sccpreserve.variants import ConnectivityOracle, VariantSpec, fault_sets_colex
+from sccpreserve.variants import (
+    ConnectivityOracle,
+    CriticalityScan,
+    VariantSpec,
+    fault_sets_colex,
+)
 
 from conftest import loopy_multigraph, variant_checks
 from oracles import scc_sets_ref
@@ -216,13 +221,15 @@ def test_changed_parallel_twins(monkeypatch):
     # Edges 0 and 1 are parallel 0->1 on the cycle 0-1-2-0: removing one
     # while its twin survives answers False without a search; once the
     # twin is faulted the tail-to-head search runs and the cycle breaks.
+    # s-t (s = 0, t = 2) then also searches from s to t, since its
+    # component is larger than {s, t}, and stops there: s reaches nothing.
     searches = []
 
     def counting(adj, start, goal):
         searches.append((start, goal))
-        return reaches(adj, start, goal)
+        return shortest_path(adj, start, goal)
 
-    monkeypatch.setattr(variants, "reaches", counting)
+    monkeypatch.setattr(variants, "shortest_path", counting)
     g = DiGraph(3, [(0, 1), (0, 1), (1, 2), (2, 0)])
     for spec, _, _ in variant_checks(g):
         oracle = ConnectivityOracle(g, spec)
@@ -234,7 +241,30 @@ def test_changed_parallel_twins(monkeypatch):
             base = oracle.state(view, (twin,))
             assert oracle.breaks(base, oracle.state(view, (twin, eid))) is True
             assert oracle.changed(base, view, (twin,), eid) is True
-            assert searches == [(0b001, 0b010)]
+            assert searches == ([(0, 1), (0, 2)] if spec.kind == "st" else [(0, 1)])
+
+
+def test_first_witness_branches_on_whole_hops():
+    # Edges 0, 1 and 2 are parallel 0->1 on the cycle 0-1-2-0.  Dropping
+    # edge 0 breaks the cycle only once both twins are faulted: the search
+    # visits the empty set, whose certificate is the hop {1, 2}, then the
+    # witness {1, 2} itself.  Within k = 1 the hop does not fit, and the
+    # search ends after one node.
+    g = DiGraph(3, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0)])
+    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
+    scan = CriticalityScan(oracle, g.edge_ids(), 2)
+    assert scan.first_witness(0) == (1, 2)
+    assert scan.oracle_calls == 2
+    scan = CriticalityScan(oracle, g.edge_ids(), 1)
+    assert scan.first_witness(0) is None
+    assert scan.oracle_calls == 1
+    # The detour 0-2-1 for the edge 0->1 has a parallel first hop (edges 1
+    # and 2): the empty set's children are {1, 2} and {3}, and the first of
+    # them is the witness.
+    g = DiGraph(3, [(0, 1), (0, 2), (0, 2), (2, 1), (1, 0)])
+    scan = CriticalityScan(ConnectivityOracle(g, VariantSpec.all_pairs()), g.edge_ids(), 2)
+    assert scan.first_witness(0) == (1, 2)
+    assert scan.oracle_calls == 2
 
 
 def test_changed_fault_sets_up_to_three_on_loopy_multigraphs():
