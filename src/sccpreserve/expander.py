@@ -50,7 +50,6 @@ class HierarchyParams:
     q: int
     k: int
     phi: Fraction = Fraction(1, 2)
-    exact_cut_limit: int = limits.DEFAULT_EXACT_CUT_LIMIT
 
     def __post_init__(self):
         phi = Fraction(self.phi)
@@ -69,9 +68,7 @@ class UnbreakabilityResult:
     witness: Cut | None = None
 
 
-def is_unbreakable(
-    g: DiGraph, terminals, q: int, k: int, pair_limit: int | None = None
-) -> UnbreakabilityResult:
+def is_unbreakable(g: DiGraph, terminals, q: int, k: int) -> UnbreakabilityResult:
     """Flow-reduction unbreakability test with a min-cut witness on failure."""
     U = frozenset(terminals)
     for v in U:
@@ -80,7 +77,7 @@ def is_unbreakable(
         raise InputError("q and k must be nonnegative")
     if len(U) <= 2 * q + 1:
         return UnbreakabilityResult(True)  # both sides can never exceed q
-    cap = pair_limit if pair_limit is not None else limits.max_subset_pairs()
+    cap = limits.max_subset_pairs()
     su = sorted(U)
     pairs = comb(len(U), q + 1) * comb(len(U) - q - 1, q + 1)
     if pairs > cap:
@@ -101,9 +98,7 @@ def is_unbreakable(
     return UnbreakabilityResult(True)
 
 
-def giant_component_check(
-    g: DiGraph, terminals, q: int, k: int, limit: int | None = None
-) -> bool:
+def giant_component_check(g: DiGraph, terminals, q: int, k: int) -> bool:
     """Exhaustive fault sweep: every <=k-fault graph keeps a giant component.
 
     Caller certifies that the terminal set is (q, k)-unbreakable; this
@@ -113,10 +108,12 @@ def giant_component_check(
     U = frozenset(terminals)
     for v in U:
         g._check_vertex(v)
+    if q < 0 or k < 0:
+        raise InputError("q and k must be nonnegative")
     target = len(U) - 2 * q
     if target <= 0:
         return True
-    limits.guard_fault_sets(g.m, k, limit)
+    limits.guard_fault_sets(g.m, k)
     u_mask = set_to_mask(U)
     ids = sorted(g.edge_ids())
     for fault in fault_sets_colex(ids, k):
@@ -202,9 +199,7 @@ def _sparsest_side(table: list[int], u_mask: int, phi: Fraction) -> int | None:
     return best_mask
 
 
-def sparsest_cut_wrt(
-    g: DiGraph, terminals, phi, exact_limit: int | None = None
-) -> Cut | None:
+def sparsest_cut_wrt(g: DiGraph, terminals, phi) -> Cut | None:
     """Exhaustive search for a cut with ratio |boundary| / min-side <= phi.
 
     Returns the minimum-ratio cut (smallest side bitmask among ties) when its
@@ -215,15 +210,15 @@ def sparsest_cut_wrt(
     subset recurrence b[S] = b[R] + outdeg(v) - c(v -> R) - c(R -> v), with
     v the highest vertex of S and R = S - {v}: of the edges leaving R, those
     into v no longer leave S, and of the non-loop edges leaving v, those
-    into R stay inside S.  Raises CapabilityError past ``exact_limit``
-    before the table is built.
+    into R stay inside S.  Raises CapabilityError past
+    ``limits.exact_cut_limit()`` vertices before the table is built.
     """
     U = frozenset(terminals)
     if len(U) < 2:
         raise InputError("need at least two terminals")
     for v in U:
         g._check_vertex(v)
-    cap = exact_limit if exact_limit is not None else limits.exact_cut_limit()
+    cap = limits.exact_cut_limit()
     if g.n > cap:
         raise CapabilityError(
             f"exact sparse-cut search infeasible at n={g.n} (limit {cap})"
@@ -307,14 +302,16 @@ class ExpanderHierarchy:
         return len(self.levels)
 
 
-def _expanding_terminals(sub: DiGraph, params: HierarchyParams, rng, state) -> set:
+def _expanding_terminals(
+    sub: DiGraph, params: HierarchyParams, cut_cap: int, rng, state
+) -> set:
     """Shrink U = V(sub) along sparse cuts until it is phi-expanding.
 
-    Within the exact limit, one boundary table of sub serves every round:
+    Up to ``cut_cap`` vertices, one boundary table of sub serves every round:
     only the terminal set changes between rounds, and the scan is the one
     :func:`sparsest_cut_wrt` runs, so each round finds the same cut.
     """
-    exact = sub.n <= params.exact_cut_limit
+    exact = sub.n <= cut_cap
     table = _boundary_table(sub) if exact else None
     terminals = set(range(sub.n))
     while len(terminals) >= 2:
@@ -350,10 +347,13 @@ def build_hierarchy(
     """Top-down directed expander hierarchy (levels partition V(g)).
 
     Each level's terminal set is phi-expanding inside every SCC of the
-    prefix-induced subgraph, hence (q, k)-unbreakable there.  With
+    prefix-induced subgraph, hence (q, k)-unbreakable there.  Subgraphs
+    past ``limits.exact_cut_limit()`` vertices, read once per build, get
+    heuristic sparse cuts and clear ``exact``.  With
     ``verify_certificates`` every certificate is confirmed through the
     unbreakability oracle (desk-scale only).
     """
+    cut_cap = limits.exact_cut_limit()
     rng = random.Random(seed)
     state = {"exact": True}
 
@@ -368,7 +368,7 @@ def build_hierarchy(
                 for comp in part.components
             ]
             return _merge_bottom(stacks)
-        local_top = _expanding_terminals(sub, params, rng, state)
+        local_top = _expanding_terminals(sub, params, cut_cap, rng, state)
         top = {to_parent[v] for v in local_top}
         rest = frozenset(vertex_set) - top
         if not rest:

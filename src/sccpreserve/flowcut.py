@@ -128,8 +128,8 @@ class FlowView:
         self.nonzero = tuple(nonzero)
         self.into = tuple(into)
 
-    def _flow(self, x_mask: int, y_mask: int, limit=None, supply=None):
-        """Augment until no residual path is left or ``limit`` is reached.
+    def _flow(self, x_mask: int, y_mask: int, stop=None, supply=None):
+        """Augment until no residual path is left or ``stop`` is reached.
 
         ``supply[v]`` is the capacity of extra unit source edges into v.  A
         BFS runs from every start vertex at once (X, and heads with supply
@@ -152,16 +152,16 @@ class FlowView:
             for v, units in enumerate(supply):
                 if units:
                     starts |= 1 << v
-        if limit is None:
-            limit = 0
+        if stop is None:
+            stop = 0
             bits = y_mask
             while bits:
                 b = bits & -bits
                 bits ^= b
                 y = b.bit_length() - 1
-                limit += self.into[y] + (supply[y] if supply else 0)
+                stop += self.into[y] + (supply[y] if supply else 0)
         value = 0
-        while value < limit:
+        while value < stop:
             vbit = starts & y_mask  # only a head can be a start in Y
             if vbit:
                 vbit &= -vbit

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, log, sqrt
 
+from . import limits
 from .digraph import DiGraph
 from .errors import InputError
 from .expander import HierarchyParams, build_hierarchy, hierarchy_pieces
@@ -63,7 +64,8 @@ class FptCache:
     Important-cut container sides and expander hierarchies are memoized by
     graph content: a graph hashes and compares by its signature, so only an
     identical graph hits.  Both computations are deterministic functions of
-    the graph and their other arguments.
+    the graph and their other arguments; a hierarchy also depends on
+    ``limits.exact_cut_limit()``, which joins its key.
 
     Induced pieces are interned by (graph, component): ``g.induced`` is a
     deterministic function of both, so a repeated piece is the very object
@@ -99,7 +101,7 @@ class FptCache:
         return hit
 
     def hierarchy(self, g: DiGraph, params: HierarchyParams):
-        key = (g, params)
+        key = (g, params, limits.exact_cut_limit())
         hit = self.hierarchies.get(key)
         if hit is None:
             hit = build_hierarchy(g, params, verify_certificates=False)

@@ -90,7 +90,7 @@ def _out_reachable_side(adj, x_mask: int, side_mask: int) -> bool:
 
 
 def enumerate_important_cuts(
-    g: DiGraph, X, Y, k: int, direction: str = "out", max_n: int | None = None
+    g: DiGraph, X, Y, k: int, direction: str = "out"
 ) -> tuple[Cut, ...]:
     """All important (X, Y)-cuts with boundary size <= k, by 2^n filtering.
 
@@ -98,14 +98,14 @@ def enumerate_important_cuts(
     only meant for small graphs (default guard n <= 16).
     """
     if direction == "in":
-        rev = enumerate_important_cuts(g.reverse(), X, Y, k, "out", max_n)
+        rev = enumerate_important_cuts(g.reverse(), X, Y, k, "out")
         return tuple(
             Cut(c.side, "in", boundary_edges(g, c.side, "in")) for c in rev
         )
     if direction != "out":
         raise InputError(f"bad direction {direction!r}")
     X, Y = _check_terminals(g, X, Y)
-    limits.guard_side_enumeration(g.n, max_n)
+    limits.guard_side_enumeration(g.n)
     if k < 0:
         raise InputError("k must be nonnegative")
 

@@ -1,9 +1,10 @@
 """Capability limits for exhaustive enumeration, overridable via environment.
 
 Every brute-force search in the package is guarded: if the enumeration would
-exceed the relevant limit we raise CapabilityError up front.  Defaults are
+exceed the relevant limit we raise CapabilityError.  Sweeps are counted up
+front; the criticality search counts the fault sets it visits.  Defaults are
 sized for desk-scale instances; each can be overridden with an environment
-variable (useful for the CLI) or per call where the API exposes a parameter.
+variable, the only setting for it.
 """
 
 import os
@@ -50,8 +51,8 @@ def fault_set_count(m: int, k: int) -> int:
     return sum(comb(m, i) for i in range(0, min(k, m) + 1))
 
 
-def guard_fault_sets(m: int, k: int, limit: int | None = None) -> None:
-    cap = limit if limit is not None else max_fault_sets()
+def guard_fault_sets(m: int, k: int) -> None:
+    cap = max_fault_sets()
     count = fault_set_count(m, k)
     if count > cap:
         raise CapabilityError(
@@ -60,8 +61,8 @@ def guard_fault_sets(m: int, k: int, limit: int | None = None) -> None:
         )
 
 
-def guard_side_enumeration(n: int, limit: int | None = None) -> None:
-    cap = limit if limit is not None else max_enum_vertices()
+def guard_side_enumeration(n: int) -> None:
+    cap = max_enum_vertices()
     if n > cap:
         raise CapabilityError(
             f"2^n side enumeration infeasible for n={n} (limit n <= {cap})"

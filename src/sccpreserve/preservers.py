@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import limits
 from .digraph import DiGraph
 from .errors import InputError
 from .expander import HierarchyParams, build_hierarchy, hierarchy_pieces
@@ -56,24 +55,18 @@ class PreserverResult:
 
 
 def is_ft_critical(
-    g: DiGraph, edge_id: int, spec: VariantSpec, k: int, limit: int | None = None
+    g: DiGraph, edge_id: int, spec: VariantSpec, k: int
 ) -> CriticalityResult:
     """Exhaustive k-fault criticality of one edge.
 
     Critical means: some protected pair is strongly connected in g-F but not
     in (g-e)-F for a fault set of size at most k (for the global variant,
     g-F strongly connected but (g-e)-F not).  Fault sets containing e never
-    witness anything and are skipped; the first witness in colex order is
-    returned.  It is found by the best-first search of
-    :class:`~sccpreserve.variants.CriticalityScan`, which visits at most the
-    fault sets that ``limit`` bounds.
+    witness anything, and self-loops are never critical; the first witness
+    in colex order is returned.  It is found by the best-first search of
+    :class:`~sccpreserve.variants.CriticalityScan`, which validates k and
+    the spec first and raises CapabilityError past the fault-set cap.
     """
-    e = g.edge(edge_id)
-    if e.tail == e.head:
-        return CriticalityResult(False)  # self-loops never carry connectivity
-    if k < 0:
-        raise InputError("k must be nonnegative")
-    limits.guard_fault_sets(g.m - 1, k, limit)
     scan = CriticalityScan(ConnectivityOracle(g, spec), g.edge_ids(), k)
     fault = scan.first_witness(edge_id)
     if fault is None:
@@ -81,14 +74,8 @@ def is_ft_critical(
     return CriticalityResult(True, (scan.broken_pair(fault, edge_id), frozenset(fault)))
 
 
-def greedy_preserver(
-    g: DiGraph, spec: VariantSpec, k: int, limit: int | None = None
-) -> PreserverResult:
+def greedy_preserver(g: DiGraph, spec: VariantSpec, k: int) -> PreserverResult:
     """Edge-minimal k-FT preserver for the given variant."""
-    if k < 0:
-        raise InputError("k must be nonnegative")
-    spec.validate(g)
-    limits.guard_fault_sets(g.m, k, limit)
     scan = CriticalityScan(ConnectivityOracle(g, spec), g.edge_ids(), k)
     for eid in sorted(g.edge_ids()):
         if scan.first_witness(eid) is None:
@@ -108,9 +95,9 @@ def greedy_preserver(
     )
 
 
-def sscp(g: DiGraph, s: int, k: int, limit: int | None = None) -> PreserverResult:
+def sscp(g: DiGraph, s: int, k: int) -> PreserverResult:
     """k-FT single-source connectivity preserver rooted at s (greedy)."""
-    return greedy_preserver(g, VariantSpec.single_source(s), k, limit)
+    return greedy_preserver(g, VariantSpec.single_source(s), k)
 
 
 def hierarchy_preserver(

@@ -44,8 +44,9 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
 
+from . import limits
 from .digraph import DiGraph, reach_mask, shortest_path
-from .errors import InputError
+from .errors import CapabilityError, InputError
 
 ALL_PAIRS = "all_pairs"
 SOURCEWISE = "sourcewise"
@@ -113,11 +114,11 @@ def fault_sets_colex(edge_ids, k: int):
     """All subsets of ``edge_ids`` of size <= k, in colex (bitmask) order."""
     ids = tuple(sorted(edge_ids))
 
-    def rec(limit: int, budget: int):
+    def rec(top: int, budget: int):
         yield ()
         if budget == 0:
             return
-        for j in range(limit):
+        for j in range(top):
             for rest in rec(j, budget - 1):
                 yield rest + (ids[j],)
 
@@ -425,8 +426,14 @@ class CriticalityScan:
     node of that chain is in it.  The heap therefore pops only sets below
     w, none of them witnesses, until it pops w.  Hence every answer, and
     every ``is_ft_critical`` witness and greedy output, is that of a sweep
-    over :func:`fault_sets_colex`; the search visits distinct fault sets
-    of at most k edges, so the ``limits`` bound on the sweep bounds it too.
+    over :func:`fault_sets_colex`.
+
+    The search guards itself: it raises CapabilityError once ``seen`` holds
+    more than ``limits.max_fault_sets()`` fault sets, a cap read when the
+    scan is built.  ``seen`` holds distinct subsets of active - e with at
+    most k edges (a hop holds active edges outside F and e), so it never
+    exceeds C(m - 1, <= k), the sweep that an up-front count would bound:
+    no input whose sweep fits under the cap is refused.
 
     The cached states outlive :meth:`remove`, whose precondition is that
     the removed edge e was proved non-critical (``first_witness(e)`` found
@@ -452,6 +459,9 @@ class CriticalityScan:
     """
 
     def __init__(self, oracle: ConnectivityOracle, active, k: int):
+        if k < 0:
+            raise InputError("k must be nonnegative")
+        self.cap = limits.max_fault_sets()
         self.oracle = oracle
         self.active = set(active)
         self.view = oracle.bind(self.active)
@@ -487,6 +497,11 @@ class CriticalityScan:
                     seen.add(child)
                     heappush(heap, (child, _ids(child)))
             hops.clear()
+            if len(seen) > self.cap:
+                raise CapabilityError(
+                    f"criticality search for edge {eid} passed {self.cap} "
+                    f"fault sets (k={k})"
+                )
         return None
 
     def broken_pair(self, fault: tuple, eid: int):

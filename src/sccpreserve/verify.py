@@ -48,13 +48,7 @@ def _verdict(hit) -> VerifyResult:
     return VerifyResult(ok=False, counterexample=Counterexample(pair, frozenset(faults)))
 
 
-def verify_ft(
-    g: DiGraph,
-    kept_edges,
-    spec: VariantSpec,
-    k: int,
-    limit: int | None = None,
-) -> VerifyResult:
+def verify_ft(g: DiGraph, kept_edges, spec: VariantSpec, k: int) -> VerifyResult:
     """Exhaustively check the variant's k-FT condition for H = g[kept_edges].
 
     Fault sets range over E(H), so the guard counts |E(H)|, not |E(g)|.
@@ -63,7 +57,7 @@ def verify_ft(
         raise InputError("k must be nonnegative")
     kept = _check_kept(g, kept_edges)
     spec.validate(g)
-    limits.guard_fault_sets(len(kept), k, limit)
+    limits.guard_fault_sets(len(kept), k)
     oracle = ConnectivityOracle(g, spec)
     return _verdict(oracle.first_counterexample(kept, fault_sets_colex(kept, k)))
 
@@ -88,14 +82,11 @@ def verify_kconn(g: DiGraph, kept_edges, k: int) -> VerifyResult:
     return VerifyResult(ok=True)
 
 
-def enumerate_critical_edges(
-    g: DiGraph, spec: VariantSpec, k: int, limit: int | None = None
-) -> frozenset:
-    """Exact set of k-fault critical edges for the variant (test oracle)."""
-    if k < 0:
-        raise InputError("k must be nonnegative")
-    spec.validate(g)
-    limits.guard_fault_sets(g.m, k, limit)
+def enumerate_critical_edges(g: DiGraph, spec: VariantSpec, k: int) -> frozenset:
+    """Exact set of k-fault critical edges for the variant (test oracle).
+
+    Each edge gets its own criticality search, capped like any other.
+    """
     scan = CriticalityScan(ConnectivityOracle(g, spec), g.edge_ids(), k)
     return frozenset(e.id for e in g.edges if scan.first_witness(e.id) is not None)
 
@@ -103,14 +94,14 @@ def enumerate_critical_edges(
 # -- cut-characterization verifiers -----------------------------------------
 
 
-def _minimal_symmetric_cuts(g: DiGraph, max_n: int | None):
+def _minimal_symmetric_cuts(g: DiGraph):
     """Per ordered pair (s, t): the minimal symmetric (s, t)-cut sides.
 
     A cut (S, V-S) with s in S, t outside is minimal symmetric if no other
     side has a strictly smaller out-boundary (by set inclusion) while still
     separating {s, t} in one direction or the other.
     """
-    limits.guard_side_enumeration(g.n, max_n)
+    limits.guard_side_enumeration(g.n)
     n = g.n
     sides = []
     for mask in range(1, (1 << n) - 1):
@@ -145,9 +136,7 @@ def _minimal_symmetric_cuts(g: DiGraph, max_n: int | None):
                     yield s, t, mask, boundary
 
 
-def verify_ft_by_cuts(
-    g: DiGraph, kept_edges, k: int, max_n: int | None = None
-) -> bool:
+def verify_ft_by_cuts(g: DiGraph, kept_edges, k: int) -> bool:
     """Cut characterization of all-pairs k-FT preservers.
 
     H preserves every minimal symmetric (s, t)-cut up to the clamp k+1:
@@ -157,7 +146,7 @@ def verify_ft_by_cuts(
     if k < 0:
         raise InputError("k must be nonnegative")
     kept = _check_kept(g, kept_edges)
-    for _, _, _, boundary in _minimal_symmetric_cuts(g, max_n):
+    for _, _, _, boundary in _minimal_symmetric_cuts(g):
         in_h = len(boundary & kept)
         in_g = len(boundary)
         if min(in_h, k + 1) != min(in_g, k + 1):
@@ -165,9 +154,7 @@ def verify_ft_by_cuts(
     return True
 
 
-def verify_kconn_by_cuts(
-    g: DiGraph, kept_edges, k: int, max_n: int | None = None
-) -> bool:
+def verify_kconn_by_cuts(g: DiGraph, kept_edges, k: int) -> bool:
     """Cut characterization of k-connectivity preservers.
 
     Every minimal symmetric (s, t)-cut must keep at least min(lambda(s,t), k)
@@ -178,7 +165,7 @@ def verify_kconn_by_cuts(
     kept = _check_kept(g, kept_edges)
     view = bind(g)
     lam_cache: dict[tuple, int] = {}
-    for s, t, _, boundary in _minimal_symmetric_cuts(g, max_n):
+    for s, t, _, boundary in _minimal_symmetric_cuts(g):
         key = (min(s, t), max(s, t))
         lam = lam_cache.get(key)
         if lam is None:
@@ -219,9 +206,7 @@ def _bounded_degree_faults(g: DiGraph):
     return extend(0, 0, ())
 
 
-def verify_bounded_degree_ft(
-    g: DiGraph, kept_edges, limit: int | None = None
-) -> VerifyResult:
+def verify_bounded_degree_ft(g: DiGraph, kept_edges) -> VerifyResult:
     """Exhaustive 1-bounded-degree verification over the whole fault universe.
 
     Valid fault sets touch every vertex's incident edges at most once, so
@@ -232,16 +217,14 @@ def verify_bounded_degree_ft(
     tiny instances only.
     """
     kept = _check_kept(g, kept_edges)
-    cap = limit if limit is not None else limits.max_fault_sets()
+    cap = limits.max_fault_sets()
     if sum(1 for _ in islice(_bounded_degree_faults(g), cap + 1)) > cap:
         raise CapabilityError(f"1-bounded-degree fault universe exceeds {cap} sets")
     oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
     return _verdict(oracle.first_counterexample(kept, _bounded_degree_faults(g)))
 
 
-def verify_color_ft(
-    g: DiGraph, kept_edges, k: int = 1, limit: int | None = None
-) -> VerifyResult:
+def verify_color_ft(g: DiGraph, kept_edges, k: int = 1) -> VerifyResult:
     """Exhaustive k-color-fault verification over all color families.
 
     Every family of at most k colors fails together; the guard caps the
@@ -257,8 +240,7 @@ def verify_color_ft(
     for e in g.edges:
         by_color.setdefault(e.color, set()).add(e.id)
     colors = sorted(by_color)
-    cap = limit if limit is not None else limits.max_fault_sets()
-    limits.guard_fault_sets(len(colors), k, cap)
+    limits.guard_fault_sets(len(colors), k)
 
     def edges_of(family):
         return frozenset().union(*(by_color[c] for c in family))

@@ -205,6 +205,37 @@ def test_hierarchy_json(tmp_path, capsys):
     assert all(c["unbreakable"] for c in report["certificates"])
 
 
+def test_hierarchy_exact_flag_follows_env_limit(tmp_path, capsys, monkeypatch):
+    gpath = str(tmp_path / "g.txt")
+    dump(gen_random(12, 30, 3, ensure_strongly_connected=True), gpath)
+    argv = ("hierarchy", "--graph", gpath, "-q", "2", "-k", "1", "--json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["exact"] is True
+    monkeypatch.setenv("SCC_PRESERVE_EXACT_CUT_LIMIT", "10")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["exact"] is False
+
+
+def test_search_cap_counts_nodes_not_the_sweep(tmp_path, capsys, monkeypatch):
+    # C(100, <= 4) = 4,087,976 fault sets is past the default cap of 2M,
+    # yet the largest criticality search on this host sees only 81
+    gpath = str(tmp_path / "g.txt")
+    dump(gen_random(18, 100, 1, ensure_strongly_connected=True), gpath)
+    build = ("build", "--graph", gpath, "-k", "4", "--json")
+    code, out, _ = run_cli(capsys, *build)
+    assert code == 0
+    report = json.loads(out)
+    assert report["output_edges"] == 77
+    assert report["stats"]["oracle_calls"] == 2191
+    code, out, _ = run_cli(capsys, "critical", "--graph", gpath, "-k", "4", "--json")
+    assert code == 0
+    assert len(json.loads(out)["critical_edges"]) == 47
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "20")
+    code, _, err = run_cli(capsys, *build)
+    assert code == 3
+    assert "capability" in err
+
+
 def test_decompose_json(tmp_path, capsys):
     gpath = str(tmp_path / "g.txt")
     dump(gen_random(8, 16, 3, ensure_strongly_connected=True), gpath)

@@ -85,10 +85,20 @@ def test_unbreakable_witness_is_first_failing_pair():
                     )
 
 
-def test_unbreakable_pair_guard():
+def test_unbreakable_pair_guard(monkeypatch):
     g = gen_random(14, 20, 0)
+    monkeypatch.setenv("SCC_PRESERVE_MAX_SUBSET_PAIRS", "10")
     with pytest.raises(CapabilityError):
-        is_unbreakable(g, range(14), 2, 1, pair_limit=10)
+        is_unbreakable(g, range(14), 2, 1)
+
+
+def test_giant_component_rejects_negative_parameters():
+    # k = -1 counts no fault sets, so an unchecked k would pass the guard
+    # and sweep every subset of the edges
+    g = gen_random(6, 16, 0, ensure_strongly_connected=True)
+    for q, k in ((1, -1), (-1, 1)):
+        with pytest.raises(InputError):
+            giant_component_check(g, {0, 1, 2}, q, k)
 
 
 def test_giant_component_examples():
@@ -126,7 +136,7 @@ def test_sparsest_cut_guard_and_validation(monkeypatch):
     with pytest.raises(InputError):
         sparsest_cut_wrt(directed_path(4), {0}, Fraction(1, 2))
     with pytest.raises(CapabilityError):
-        sparsest_cut_wrt(gen_random(20, 30, 0), range(20), Fraction(1, 2), exact_limit=18)
+        sparsest_cut_wrt(gen_random(20, 30, 0), range(20), Fraction(1, 2))
 
     # raised before any table of 2^40 entries is built; a table built first
     # fails here instead of exhausting memory
@@ -135,7 +145,7 @@ def test_sparsest_cut_guard_and_validation(monkeypatch):
 
     monkeypatch.setattr(expander, "_boundary_table", no_table)
     with pytest.raises(CapabilityError):
-        sparsest_cut_wrt(gen_random(40, 60, 0), range(40), Fraction(1, 2), exact_limit=18)
+        sparsest_cut_wrt(gen_random(40, 60, 0), range(40), Fraction(1, 2))
 
 
 def _cut_hosts(rng):
@@ -171,11 +181,11 @@ def test_sparsest_cut_matches_reference():
     assert found > 50 and absent > 50
 
 
-def _expanding_terminals_fresh(sub, params, rng, state):
+def _expanding_terminals_fresh(sub, params, cut_cap, rng, state):
     # the hierarchy's shrinking loop with one full search per round
     terminals = set(range(sub.n))
     while len(terminals) >= 2:
-        cut = sparsest_cut_wrt(sub, terminals, params.phi, params.exact_cut_limit)
+        cut = sparsest_cut_wrt(sub, terminals, params.phi)
         if cut is None:
             break
         exits = {sub.edge(eid).tail for eid in cut.boundary}
@@ -225,9 +235,9 @@ def test_hierarchy_past_exact_limit_builds_no_table(monkeypatch):
         return table(g)
 
     monkeypatch.setattr(expander, "_boundary_table", guarded)
+    monkeypatch.setenv("SCC_PRESERVE_EXACT_CUT_LIMIT", "10")
     g = DiGraph(24, [(i, (i + 1) % 24) for i in range(24)] + [(0, 12), (12, 0)])
-    hier = build_hierarchy(g, HierarchyParams(q=2, k=1, exact_cut_limit=10),
-                           verify_certificates=False)
+    hier = build_hierarchy(g, HierarchyParams(q=2, k=1), verify_certificates=False)
     assert not hier.exact
     assert sorted(v for level in hier.levels for v in level) == list(range(24))
 
@@ -304,12 +314,12 @@ def test_hierarchy_halving_invariant():
             assert len(comp) <= math.ceil(n / 2)
 
 
-def test_hierarchy_heuristic_fallback():
+def test_hierarchy_heuristic_fallback(monkeypatch):
     # cycle of 24 vertices: beyond the exact limit, the heuristic must
     # still produce a valid partition with the halving level bound
+    monkeypatch.setenv("SCC_PRESERVE_EXACT_CUT_LIMIT", "10")
     g = DiGraph(24, [(i, (i + 1) % 24) for i in range(24)])
-    params = HierarchyParams(q=2, k=1, exact_cut_limit=10)
-    hier = build_hierarchy(g, params, verify_certificates=False)
+    hier = build_hierarchy(g, HierarchyParams(q=2, k=1), verify_certificates=False)
     flat = sorted(v for level in hier.levels for v in level)
     assert flat == list(range(24))
     assert hier.depth <= math.ceil(math.log2(24)) + 1

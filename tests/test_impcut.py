@@ -63,10 +63,11 @@ def test_enumerate_important_cuts_examples():
     assert enumerate_important_cuts(diamond(), [0], [3], 1) == ()
 
 
-def test_enumerate_guard():
+def test_enumerate_guard(monkeypatch):
     g = gen_random(9, 10, 0)
+    monkeypatch.setenv("SCC_PRESERVE_MAX_ENUM_VERTICES", "8")
     with pytest.raises(CapabilityError):
-        enumerate_important_cuts(g, [0], [8], 1, max_n=8)
+        enumerate_important_cuts(g, [0], [8], 1)
 
 
 def _out_reachable_sides_ref(g, x, y, k):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sccpreserve.digraph import DiGraph, scc
-from sccpreserve.errors import CapabilityError
+from sccpreserve.errors import CapabilityError, InputError
 from sccpreserve.expander import HierarchyParams, build_hierarchy
 from sccpreserve.families import gen_baswana_tree, gen_random, gen_st_lower
 from sccpreserve.preservers import (
@@ -136,10 +136,29 @@ def test_sscp_unchanged_on_sandwiched_subgraphs():
                 assert sscp(sub, u, k).kept_edges == kept, (trial, k, u)
 
 
-def test_greedy_capability_guard():
+def test_greedy_capability_guard(monkeypatch):
+    # Each criticality search counts the fault sets it has seen; the largest
+    # search on this host sees 11, of the C(19, <= 2) = 191 it could.
     g = gen_random(8, 20, 0, ensure_strongly_connected=True)
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "11")
+    greedy_preserver(g, VariantSpec.all_pairs(), 2)
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "10")
     with pytest.raises(CapabilityError):
-        greedy_preserver(g, VariantSpec.all_pairs(), 2, limit=10)
+        greedy_preserver(g, VariantSpec.all_pairs(), 2)
+
+
+def test_is_ft_critical_validates_before_self_loops():
+    # a self-loop is never critical, but a bad k or spec is still an error
+    g = DiGraph(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
+    for eid in g.edge_ids():
+        assert is_ft_critical(g, eid, VariantSpec.all_pairs(), 1).critical == (eid < 3)
+        for spec, k in (
+            (VariantSpec.single_source(99), 1),
+            (VariantSpec.all_pairs(), -1),
+            (VariantSpec.single_source(99), -1),
+        ):
+            with pytest.raises(InputError):
+                is_ft_critical(g, eid, spec, k)
 
 
 def test_sscp_star_keeps_all_arcs():

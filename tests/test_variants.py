@@ -4,7 +4,8 @@ import pytest
 
 from sccpreserve import variants
 from sccpreserve.digraph import DiGraph, shortest_path
-from sccpreserve.errors import InputError
+from sccpreserve.errors import CapabilityError, InputError
+from sccpreserve.limits import fault_set_count
 from sccpreserve.variants import (
     ConnectivityOracle,
     CriticalityScan,
@@ -265,6 +266,39 @@ def test_first_witness_branches_on_whole_hops():
     scan = CriticalityScan(ConnectivityOracle(g, VariantSpec.all_pairs()), g.edge_ids(), 2)
     assert scan.first_witness(0) == (1, 2)
     assert scan.oracle_calls == 2
+
+
+def test_first_witness_cap_counts_seen_fault_sets(monkeypatch):
+    # The search on the three-twin cycle above sees two fault sets, the
+    # empty set and the witness {1, 2}; a cap of one stops it after the
+    # empty set.  The cap is read when the scan is built.
+    g = DiGraph(3, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0)])
+    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "2")
+    scan = CriticalityScan(oracle, g.edge_ids(), 2)
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "1")
+    assert scan.first_witness(0) == (1, 2)
+    scan = CriticalityScan(oracle, g.edge_ids(), 2)
+    with pytest.raises(CapabilityError):
+        scan.first_witness(0)
+    assert scan.oracle_calls == 1
+
+
+def test_first_witness_fits_the_sweep_bound(monkeypatch):
+    # A search sees distinct subsets of active - e with at most k edges, so
+    # a cap of C(m - 1, <= k) never stops it.
+    rng = random.Random(97)
+    for _ in range(10):
+        g = loopy_multigraph(rng, rng.randrange(2, 5))
+        ids = g.edge_ids()
+        for spec, _, _ in variant_checks(g):
+            oracle = ConnectivityOracle(g, spec)
+            for k in (1, 2, 3):
+                cap = fault_set_count(len(ids) - 1, k)
+                monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", str(cap))
+                scan = CriticalityScan(oracle, ids, k)
+                for eid in ids:
+                    scan.first_witness(eid)
 
 
 def test_changed_fault_sets_up_to_three_on_loopy_multigraphs():

@@ -138,14 +138,16 @@ def test_counterexample_is_colex_first_over_host_edges():
                     assert got == ref, (trial, k, spec.kind, sorted(cand))
 
 
-def test_guard_counts_preserver_edges():
+def test_guard_counts_preserver_edges(monkeypatch):
     g = gen_random(8, 30, 3, ensure_strongly_connected=True)
     kept = greedy_preserver(g, VariantSpec.all_pairs(), 1).kept_edges
-    limit = fault_set_count(len(kept), 2)
-    assert fault_set_count(g.m, 2) > limit
-    verify_ft(g, kept, VariantSpec.all_pairs(), 2, limit=limit)
+    cap = fault_set_count(len(kept), 2)
+    assert fault_set_count(g.m, 2) > cap
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", str(cap))
+    verify_ft(g, kept, VariantSpec.all_pairs(), 2)
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", str(cap - 1))
     with pytest.raises(CapabilityError):
-        verify_ft(g, kept, VariantSpec.all_pairs(), 2, limit=limit - 1)
+        verify_ft(g, kept, VariantSpec.all_pairs(), 2)
 
 
 def test_subset_failure_monotone():
@@ -160,10 +162,11 @@ def test_subset_failure_monotone():
         assert not verify_ft(g, smaller, VariantSpec.all_pairs(), 1).ok
 
 
-def test_capability_guard():
+def test_capability_guard(monkeypatch):
     g = gen_random(8, 20, 0)
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "100")
     with pytest.raises(CapabilityError):
-        verify_ft(g, g.edge_ids(), VariantSpec.all_pairs(), 3, limit=100)
+        verify_ft(g, g.edge_ids(), VariantSpec.all_pairs(), 3)
 
 
 def test_verify_kconn_examples():
@@ -272,7 +275,7 @@ def test_single_color_graph_fails_entirely():
     assert not verify_color_witness(g, g.edge_ids(), 0, 0, 0, 1)
 
 
-def test_full_bounded_degree_universe_verification():
+def test_full_bounded_degree_universe_verification(monkeypatch):
     from sccpreserve.verify import verify_bounded_degree_ft
 
     g, meta = gen_bounded_degree_lower(2, 1)
@@ -281,11 +284,12 @@ def test_full_bounded_degree_universe_verification():
     res = verify_bounded_degree_ft(g, g.edge_ids() - {eid})
     assert not res.ok
     assert res.counterexample.pair is not None
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "2")
     with pytest.raises(CapabilityError):
-        verify_bounded_degree_ft(g, g.edge_ids(), limit=2)
+        verify_bounded_degree_ft(g, g.edge_ids())
     # the cap holds before any fault set is checked, even for a failing H
     with pytest.raises(CapabilityError):
-        verify_bounded_degree_ft(g, g.edge_ids() - {eid}, limit=2)
+        verify_bounded_degree_ft(g, g.edge_ids() - {eid})
 
 
 def test_full_color_universe_verification():
