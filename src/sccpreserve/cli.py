@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import digraph, families, fpt, kconn, preservers, verify
 from .errors import CapabilityError, InputError
@@ -220,11 +219,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hierarchy(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        phi = Fraction(args.phi)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"--phi must be a fraction, got {args.phi!r}") from None
-    params = HierarchyParams(q=args.q, k=args.k, phi=phi)
+    params = HierarchyParams(q=args.q, k=args.k, phi=args.phi)
     hierarchy = build_hierarchy(g, params, verify_certificates=not args.no_verify)
     payload = {
         "command": "hierarchy",

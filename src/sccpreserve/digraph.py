@@ -42,14 +42,7 @@ class DiGraph:
             raise InputError("vertex count must be nonnegative")
         object.__setattr__(self, "n", n)
         if _records is None:
-            records = []
-            for i, spec in enumerate(edges):
-                if len(spec) == 2:
-                    tail, head = spec
-                    color = None
-                else:
-                    tail, head, color = spec
-                records.append(Edge(i, tail, head, color))
+            records = _edge_records(edges, 0)
         else:
             records = sorted(_records, key=lambda e: e.id)
         by_id = {}
@@ -155,15 +148,7 @@ class DiGraph:
     def add_edges(self, new_edges: Iterable[tuple]) -> "DiGraph":
         """Graph plus new edges; fresh ids continue after the current maximum."""
         next_id = max(self._by_id) + 1 if self._by_id else 0
-        records = list(self.edges)
-        for spec in new_edges:
-            if len(spec) == 2:
-                tail, head = spec
-                color = None
-            else:
-                tail, head, color = spec
-            records.append(Edge(next_id, tail, head, color))
-            next_id += 1
+        records = list(self.edges) + _edge_records(new_edges, next_id)
         return DiGraph(self.n, _records=records)
 
     def reverse(self) -> "DiGraph":
@@ -191,6 +176,24 @@ class DiGraph:
         return DiGraph(len(to_parent), _records=records), to_parent
 
 
+def _edge_records(specs: Iterable[tuple], first_id: int) -> list[Edge]:
+    """Edges numbered from ``first_id``, one per (tail, head[, color]) of ints.
+
+    Anything else raises InputError, so every edge prints as a line that
+    :func:`parse` reads back.
+    """
+    records = []
+    for eid, spec in enumerate(specs, first_id):
+        if (
+            not isinstance(spec, (tuple, list))
+            or len(spec) not in (2, 3)
+            or not type(spec[0]) is type(spec[1]) is type(spec[-1]) is int  # [-1]: color
+        ):
+            raise InputError(f"bad edge spec {spec!r}: want (tail, head[, color]) ints")
+        records.append(Edge(eid, *spec))
+    return records
+
+
 def _from_records(n: int, records) -> DiGraph:
     return DiGraph(n, _records=records)
 
@@ -208,18 +211,6 @@ def out_masks(g: DiGraph, banned: frozenset = frozenset()) -> list[int]:
     else:
         for e in g.edges:
             adj[e.tail] |= 1 << e.head
-    return adj
-
-
-def in_masks(g: DiGraph, banned: frozenset = frozenset()) -> list[int]:
-    adj = [0] * g.n
-    if banned:
-        for e in g.edges:
-            if e.id not in banned:
-                adj[e.head] |= 1 << e.tail
-    else:
-        for e in g.edges:
-            adj[e.head] |= 1 << e.tail
     return adj
 
 

@@ -39,10 +39,20 @@ from math import comb
 from operator import add
 
 from . import limits
-from .digraph import DiGraph, mask_to_set, out_masks, scc, scc_masks, set_to_mask
+from .digraph import DiGraph, mask_to_set, scc, set_to_mask
 from .errors import CapabilityError, InputError
 from .flowcut import Cut, bind, make_cut
-from .variants import fault_sets_colex
+from .variants import ConnectivityOracle, VariantSpec, fault_sets_colex
+
+
+def _fraction(phi) -> Fraction:
+    """phi as a Fraction (one already is returns as is), else InputError."""
+    if isinstance(phi, Fraction):
+        return phi
+    try:
+        return Fraction(phi)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"phi must be a fraction, got {phi!r}") from None
 
 
 @dataclass(frozen=True)
@@ -52,7 +62,7 @@ class HierarchyParams:
     phi: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
-        phi = Fraction(self.phi)
+        phi = _fraction(self.phi)
         object.__setattr__(self, "phi", phi)
         if not (0 < phi <= 1):
             raise InputError("phi must be in (0, 1]")
@@ -103,7 +113,8 @@ def giant_component_check(g: DiGraph, terminals, q: int, k: int) -> bool:
 
     Caller certifies that the terminal set is (q, k)-unbreakable; this
     confirms that some SCC of g-F retains at least |U| - 2q terminals for
-    every fault set F of size at most k.
+    every fault set F of size at most k.  The state of g's all-pairs oracle
+    view under F roots every vertex, so it lists every component of g-F.
     """
     U = frozenset(terminals)
     for v in U:
@@ -115,20 +126,12 @@ def giant_component_check(g: DiGraph, terminals, q: int, k: int) -> bool:
         return True
     limits.guard_fault_sets(g.m, k)
     u_mask = set_to_mask(U)
-    ids = sorted(g.edge_ids())
-    for fault in fault_sets_colex(ids, k):
-        comp = scc_masks(out_masks(g, frozenset(fault)))
-        ok = False
-        seen = 0
-        for v in range(g.n):
-            bit = 1 << v
-            if seen & bit:
-                continue
-            seen |= comp[v]
-            if (comp[v] & u_mask).bit_count() >= target:
-                ok = True
-                break
-        if not ok:
+    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
+    view = oracle.bind(g.edge_ids())
+    for fault in fault_sets_colex(g.edge_ids(), k):
+        if not any(
+            (comp & u_mask).bit_count() >= target for comp in oracle.state(view, fault)
+        ):
             return False
     return True
 
@@ -218,16 +221,17 @@ def sparsest_cut_wrt(g: DiGraph, terminals, phi) -> Cut | None:
         raise InputError("need at least two terminals")
     for v in U:
         g._check_vertex(v)
+    phi = _fraction(phi)
     cap = limits.exact_cut_limit()
     if g.n > cap:
         raise CapabilityError(
             f"exact sparse-cut search infeasible at n={g.n} (limit {cap})"
         )
-    mask = _sparsest_side(_boundary_table(g), set_to_mask(U), Fraction(phi))
+    mask = _sparsest_side(_boundary_table(g), set_to_mask(U), phi)
     return None if mask is None else make_cut(g, mask_to_set(mask))
 
 
-def _heuristic_sparse_cut(g: DiGraph, terminals, phi, rng) -> Cut | None:
+def _heuristic_sparse_cut(g: DiGraph, terminals, phi: Fraction, rng) -> Cut | None:
     """Randomized fallback past the exact enumeration limit.
 
     Seeds candidate sides with min cuts between random terminal pairs, then
@@ -236,7 +240,6 @@ def _heuristic_sparse_cut(g: DiGraph, terminals, phi, rng) -> Cut | None:
     unverified certificates.
     """
     U = sorted(terminals)
-    phi = Fraction(phi)
     u_mask = set_to_mask(U)
     heads = [[] for _ in range(g.n)]
     for e in g.edges:
@@ -342,19 +345,19 @@ def build_hierarchy(
     g: DiGraph,
     params: HierarchyParams,
     verify_certificates: bool = True,
-    seed: int = 0,
 ) -> ExpanderHierarchy:
     """Top-down directed expander hierarchy (levels partition V(g)).
 
     Each level's terminal set is phi-expanding inside every SCC of the
     prefix-induced subgraph, hence (q, k)-unbreakable there.  Subgraphs
     past ``limits.exact_cut_limit()`` vertices, read once per build, get
-    heuristic sparse cuts and clear ``exact``.  With
+    heuristic sparse cuts, drawn from one rng seeded with 0 so that a
+    build is deterministic, and clear ``exact``.  With
     ``verify_certificates`` every certificate is confirmed through the
     unbreakability oracle (desk-scale only).
     """
     cut_cap = limits.exact_cut_limit()
-    rng = random.Random(seed)
+    rng = random.Random(0)
     state = {"exact": True}
 
     def build(vertex_set: frozenset) -> list[set]:

@@ -230,6 +230,8 @@ def check_kcritical_cut_bound(
     """
     if k < 0:
         raise InputError("k must be nonnegative")
+    if sample_limit is not None and sample_limit < 0:
+        raise InputError("sample_limit must be nonnegative")
     n = h.n
     if sample_limit is None:
         limits.guard_side_enumeration(n)

@@ -10,8 +10,11 @@ strongly connected with the vertices of its protected mask.  All-pairs
 roots every vertex, sourcewise roots each source, single-source and s-t
 root s (s-t protects only t), and global roots vertex 0 with one extra
 flag, since its only protected fact is that root 0's component is all of V.
-The same oracle drives both edge-criticality checks (greedy constructions)
-and exhaustive verification.
+The same oracle drives edge-criticality checks (greedy constructions),
+exhaustive verification, the giant-component sweep of
+``expander.giant_component_check`` and the strong fault-model witness checks
+of ``verify``: every strong-connectivity question under faults in the
+package is a state of a bound view.
 
 Every check runs over a fixed active edge set while the fault changes:
 the active set changes at most m times per scan, the fault once per fault

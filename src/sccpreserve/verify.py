@@ -7,6 +7,9 @@ counterexample under that order is the one reported.  It is also the first
 counterexample among all fault sets of the host graph: if F is one, so is
 F & E(H) (H - F does not change, and g - F can only gain connectivity), and
 F & E(H) comes no later than F in colex order.
+
+Every check under faults here reads states of the variants oracle's bound
+view, the strong fault-model sweeps and witness checks included.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import limits
-from .digraph import DiGraph, in_masks, out_masks, reach_mask
+from .digraph import DiGraph
 from .errors import CapabilityError, InputError
 from .flowcut import bind
 from .variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
@@ -179,12 +182,23 @@ def verify_kconn_by_cuts(g: DiGraph, kept_edges, k: int) -> bool:
 # -- strong fault-model witnesses --------------------------------------------
 
 
-def _pair_strongly_connected(g: DiGraph, banned: frozenset, a: int, b: int) -> bool:
-    fwd = reach_mask(out_masks(g, banned), 1 << a)
-    if not (fwd >> b) & 1:
+def _witness_stands(g: DiGraph, kept_edges, cross_edge: int, fault, s: int, y: int) -> bool:
+    """s, y strongly connected in g-F but not in g-F-cross_edge, which is kept.
+
+    One single-source(s) oracle view of g gives s's component under both
+    fault sets; a twin of cross_edge outside F keeps the pair adjacent.
+    """
+    kept = _check_kept(g, kept_edges)
+    g.edge(cross_edge)
+    g._check_vertex(y)
+    oracle = ConnectivityOracle(g, VariantSpec.single_source(s))
+    view = oracle.bind(g.edge_ids())
+    y_bit = 1 << y
+    if not oracle.state(view, fault)[0] & y_bit:
         return False
-    bwd = reach_mask(in_masks(g, banned), 1 << a)
-    return bool((bwd >> b) & 1)
+    if oracle.state(view, fault | {cross_edge})[0] & y_bit:
+        return False
+    return cross_edge in kept
 
 
 def _bounded_degree_faults(g: DiGraph):
@@ -261,11 +275,7 @@ def verify_bounded_degree_witness(
     cross_edge is also removed; a preserver must then keep cross_edge, and
     the check confirms that kept_edges does.
     """
-    kept = _check_kept(g, kept_edges)
     fault = frozenset(fault)
-    g.edge(cross_edge)
-    g._check_vertex(s)
-    g._check_vertex(y)
     incident: dict[int, int] = {}
     for eid in fault:
         e = g.edge(eid)
@@ -277,11 +287,7 @@ def verify_bounded_degree_witness(
             f"fault set touches vertex {worst} {incident[worst]} times; "
             "1-bounded-degree faults allow one"
         )
-    if not _pair_strongly_connected(g, fault, s, y):
-        return False
-    if _pair_strongly_connected(g, fault | {cross_edge}, s, y):
-        return False
-    return cross_edge in kept
+    return _witness_stands(g, kept_edges, cross_edge, fault, s, y)
 
 
 def verify_color_witness(
@@ -293,16 +299,8 @@ def verify_color_witness(
     s and y stay strongly connected under the color failure but lose strong
     connectivity once cross_edge is also removed.
     """
-    kept = _check_kept(g, kept_edges)
-    g.edge(cross_edge)
-    g._check_vertex(s)
-    g._check_vertex(y)
     used_colors = {e.color for e in g.edges if e.color is not None}
     if failed_color not in used_colors:
         raise InputError(f"unknown color {failed_color}")
     fault = frozenset(e.id for e in g.edges if e.color == failed_color)
-    if not _pair_strongly_connected(g, fault, s, y):
-        return False
-    if _pair_strongly_connected(g, fault | {cross_edge}, s, y):
-        return False
-    return cross_edge in kept
+    return _witness_stands(g, kept_edges, cross_edge, fault, s, y)

@@ -143,6 +143,17 @@ def test_vertex_range_checked():
         DiGraph(2, [(0, 5)])
 
 
+@pytest.mark.parametrize(
+    "spec", [(0.5, 1), (0, 1, 1.5), (0, 1, None), (0,), (0, 1, 2, 3), 5, (True, 1), "01"]
+)
+def test_bad_edge_spec_is_input_error(spec):
+    # an accepted edge must print as a line that parse reads back
+    with pytest.raises(InputError):
+        DiGraph(2, [spec])
+    with pytest.raises(InputError):
+        DiGraph(2, [(0, 1)]).add_edges([spec])
+
+
 def test_pickle_and_deepcopy_round_trip():
     g = DiGraph(4, [(0, 1, 2), (1, 2), (1, 2), (2, 0, 0), (3, 3, 1)])
     sub = g.remove_edges([1])  # gapped ids must survive

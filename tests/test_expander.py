@@ -106,6 +106,9 @@ def test_giant_component_examples():
     cycle = DiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert giant_component_check(cycle, {0, 1, 2, 3}, 1, 0)  # k=0, C=V
     assert giant_component_check(directed_path(4), {0, 1, 2, 3}, 2, 3)  # vacuous
+    doubled = DiGraph(2, [(0, 1), (0, 1), (1, 0), (1, 0)])
+    assert giant_component_check(doubled, {0, 1}, 0, 1)  # a twin survives each fault
+    assert not giant_component_check(doubled, {0, 1}, 0, 2)
 
 
 def test_sparsest_cut_path():
@@ -264,6 +267,21 @@ def test_hierarchy_params_validated():
         HierarchyParams(q=1, k=2)  # q < k/phi
     with pytest.raises(InputError):
         HierarchyParams(q=2, k=1, phi=Fraction(3, 2))
+
+
+@pytest.mark.parametrize("phi", ["abc", "1/0", None, float("nan"), [1, 2]])
+def test_bad_phi_is_input_error(phi):
+    with pytest.raises(InputError):
+        HierarchyParams(q=2, k=1, phi=phi)
+    with pytest.raises(InputError):
+        sparsest_cut_wrt(directed_path(4), {0, 1, 2, 3}, phi)
+
+
+def test_phi_text_and_fraction_accepted():
+    half = Fraction(1, 2)
+    assert HierarchyParams(q=2, k=1, phi="1/2").phi == half
+    assert HierarchyParams(q=2, k=1, phi=half).phi is half
+    assert sparsest_cut_wrt(bidirected_k4(), {0, 1, 2, 3}, "1/2") is None
 
 
 def test_hierarchy_validity_random():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sccpreserve.digraph import DiGraph
-from sccpreserve.errors import CapabilityError
+from sccpreserve.errors import CapabilityError, InputError
 from sccpreserve.expander import is_unbreakable
 from sccpreserve.families import gen_random
 from sccpreserve.flowcut import boundary_edges
@@ -193,6 +193,12 @@ def test_cut_bound_full_enumeration_guarded():
         check_kcritical_cut_bound(g, 1, sample_limit=None)
     sampled = check_kcritical_cut_bound(g, 1, sample_limit=50)
     assert sampled.violations == ()
+
+
+def test_cut_bound_rejects_negative_sample_limit():
+    g = DiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    with pytest.raises(InputError):
+        check_kcritical_cut_bound(g, 1, sample_limit=-1)
 
 
 def test_cut_bound_on_greedy_outputs():

@@ -7,9 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sccpreserve.digraph import DiGraph
+from sccpreserve.expander import giant_component_check
 from sccpreserve.variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
+from sccpreserve.verify import verify_bounded_degree_witness, verify_color_witness
 
 from conftest import variant_checks
+from oracles import fault_sets_ref, scc_sets_ref, strongly_connected_pair_ref
 
 PROPERTY = settings(
     derandomize=True,
@@ -65,3 +68,73 @@ def test_first_witness_is_colex_first(g, which, k):
         assert carried.oracle_calls - before == rebuilt.oracle_calls
         if want is None:
             carried.remove(eid)
+
+
+def _twins(g):
+    """The first two parallel edges of g, as (first id, second id)."""
+    first = {}
+    for e in g.edges:
+        other = first.setdefault((e.tail, e.head), e.id)
+        if other != e.id:
+            return other, e.id
+    raise AssertionError("loopy_multigraphs always repeats an edge")
+
+
+def _matching(g, ids):
+    """Greedy 1-bounded-degree fault set: each vertex touched at most once."""
+    touched, fault = set(), set()
+    for eid in ids:
+        ends = {g.edge(eid).tail, g.edge(eid).head}
+        if not ends & touched:
+            touched |= ends
+            fault.add(eid)
+    return frozenset(fault)
+
+
+def _witness_ref(g, kept, cross, fault, s, y):
+    return (
+        strongly_connected_pair_ref(g, fault, s, y)
+        and not strongly_connected_pair_ref(g, fault | {cross}, s, y)
+        and cross in kept
+    )
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.data(), st.integers(0, 2), st.integers(0, 1))
+def test_giant_component_check_matches_reference(g, data, k, q):
+    terminals = data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=2))
+    target = len(terminals) - 2 * q
+    want = target <= 0 or all(
+        any(len(comp & terminals) >= target for comp in scc_sets_ref(g, fault))
+        for fault in fault_sets_ref(g.edge_ids(), k)
+    )
+    assert giant_component_check(g, terminals, q, k) == want
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.data())
+def test_witness_checks_match_reference(g, data):
+    # a twin of the cross edge that survives the faults keeps the pair
+    # adjacent, so such a witness never stands
+    ids = sorted(g.edge_ids())
+    vertex = st.integers(0, g.n - 1)
+    s, y = data.draw(vertex), data.draw(vertex)
+    cross = data.draw(st.sampled_from(ids))
+    kept = data.draw(st.frozensets(st.sampled_from(ids)))
+    twin, other = _twins(g)
+    picks = data.draw(st.permutations(ids))
+
+    fault = _matching(g, picks)
+    got = verify_bounded_degree_witness(g, kept, cross, fault, s, y)
+    assert got == _witness_ref(g, kept, cross, fault, s, y)
+    spared = _matching(g, [eid for eid in picks if eid != other])
+    assert not verify_bounded_degree_witness(g, kept | {twin}, twin, spared, s, y)
+
+    colors = data.draw(st.lists(st.integers(0, 2), min_size=g.m, max_size=g.m))
+    colors[other] = 3  # the twin's own color, never failed below
+    colored = DiGraph(g.n, [(e.tail, e.head, c) for e, c in zip(g.edges, colors)])
+    failed = data.draw(st.sampled_from(sorted(set(colors) - {3})))
+    fault = frozenset(eid for eid in ids if colors[eid] == failed)
+    got = verify_color_witness(colored, kept, cross, failed, s, y)
+    assert got == _witness_ref(colored, kept, cross, fault, s, y)
+    assert not verify_color_witness(colored, kept | {twin}, twin, failed, s, y)
