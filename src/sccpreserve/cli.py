@@ -172,7 +172,7 @@ def _load_preserver(path: str) -> list[int]:
         raise InputError(f"bad preserver JSON: {exc}") from None
     if isinstance(data, dict):
         data = data.get("kept_edges")
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not isinstance(data, list) or not all(type(x) is int for x in data):
         raise InputError("preserver file must hold a kept_edges integer list")
     return data
 

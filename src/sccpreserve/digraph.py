@@ -35,7 +35,7 @@ class DiGraph:
     0..m-1 in input order; derived subgraphs keep their parent's ids.
     """
 
-    __slots__ = ("n", "edges", "_by_id", "_out", "_in", "_key", "_hash")
+    __slots__ = ("n", "edges", "_by_id", "_out", "_key", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple] = (), *, _records=None):
         if n < 0:
@@ -47,7 +47,6 @@ class DiGraph:
             records = sorted(_records, key=lambda e: e.id)
         by_id = {}
         out = [[] for _ in range(n)]
-        inc = [[] for _ in range(n)]
         for e in records:
             if not (0 <= e.tail < n and 0 <= e.head < n):
                 raise InputError(f"edge {e.id} endpoint out of range: {e}")
@@ -57,11 +56,9 @@ class DiGraph:
                 raise InputError(f"duplicate edge id {e.id}")
             by_id[e.id] = e
             out[e.tail].append(e)
-            inc[e.head].append(e)
         object.__setattr__(self, "edges", tuple(records))
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_out", tuple(tuple(es) for es in out))
-        object.__setattr__(self, "_in", tuple(tuple(es) for es in inc))
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_hash", None)
 
@@ -91,10 +88,6 @@ class DiGraph:
     def out_edges(self, v: int) -> tuple[Edge, ...]:
         self._check_vertex(v)
         return self._out[v]
-
-    def in_edges(self, v: int) -> tuple[Edge, ...]:
-        self._check_vertex(v)
-        return self._in[v]
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):

@@ -62,6 +62,8 @@ class HierarchyParams:
     phi: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
+        if not type(self.q) is type(self.k) is int:  # bool is an int subclass
+            raise InputError(f"q and k must be ints, got {self.q!r} and {self.k!r}")
         phi = _fraction(self.phi)
         object.__setattr__(self, "phi", phi)
         if not (0 < phi <= 1):
@@ -284,25 +286,36 @@ def _heuristic_sparse_cut(g: DiGraph, terminals, phi: Fraction, rng) -> Cut | No
 
 
 @dataclass(frozen=True)
-class LevelCertificate:
+class HierarchyPiece:
+    """One level paired with one SCC of the graph induced by its prefix.
+
+    The last four fields are set only on a piece with terminals.
+    """
+
     level: int  # 1-based, level 1 is the deepest
     component: frozenset
-    terminals: frozenset
-    unbreakable: bool | None  # None = not verified
-    q: int
-    k: int
+    terminals: frozenset  # the component's members at this level; may be empty
+    graph: DiGraph | None = None  # with to_parent: g.induced(component)
+    to_parent: tuple[int, ...] = ()
+    local_terminals: frozenset = frozenset()  # terminals in graph's numbering
+    unbreakable: bool | None = None  # None = not verified
 
 
 @dataclass(frozen=True)
 class ExpanderHierarchy:
     levels: tuple[frozenset, ...]  # V_1 .. V_ell, top level last
-    certificates: tuple[LevelCertificate, ...]
+    pieces: tuple[HierarchyPiece, ...]  # by level, then in ``scc`` order
     params: HierarchyParams
     exact: bool  # every sparse-cut search ran exhaustively
 
     @property
     def depth(self) -> int:
         return len(self.levels)
+
+    @property
+    def certificates(self) -> tuple[HierarchyPiece, ...]:
+        """The pieces that hold terminals."""
+        return tuple(p for p in self.pieces if p.terminals)
 
 
 def _expanding_terminals(
@@ -352,9 +365,16 @@ def build_hierarchy(
     prefix-induced subgraph, hence (q, k)-unbreakable there.  Subgraphs
     past ``limits.exact_cut_limit()`` vertices, read once per build, get
     heuristic sparse cuts, drawn from one rng seeded with 0 so that a
-    build is deterministic, and clear ``exact``.  With
-    ``verify_certificates`` every certificate is confirmed through the
-    unbreakability oracle (desk-scale only).
+    build is deterministic, and clear ``exact``.
+
+    The pieces come from one walk, one ``induced`` and one ``scc`` per
+    prefix V_1 .. V_i.  A piece graph is induced from the prefix graph, with
+    the two vertex maps composed, and equals ``g.induced(component)``: the
+    prefix graph keeps every edge of g between prefix vertices with its id
+    and color, and its ``to_parent`` is ascending, so the component's
+    vertices rank the same in both.  With ``verify_certificates`` each
+    piece's terminals go through the unbreakability oracle (desk-scale
+    only).
     """
     cut_cap = limits.exact_cut_limit()
     rng = random.Random(0)
@@ -385,9 +405,28 @@ def build_hierarchy(
 
     level_sets = build(frozenset(range(g.n)))
     levels = tuple(frozenset(s) for s in level_sets)
-    certificates = _certify(g, levels, params, verify_certificates)
+    pieces = []
+    prefix: set = set()
+    for i, level in enumerate(levels, start=1):
+        prefix |= level
+        sub, p_to_parent = g.induced(prefix)
+        for comp in scc(sub).components:
+            component = frozenset(p_to_parent[v] for v in comp)
+            terminals = component & level
+            if not terminals:
+                pieces.append(HierarchyPiece(i, component, terminals))
+                continue
+            piece, local_to_sub = sub.induced(comp)
+            to_parent = tuple(p_to_parent[v] for v in local_to_sub)
+            local = frozenset(j for j, v in enumerate(to_parent) if v in level)
+            flag = None
+            if verify_certificates:
+                flag = is_unbreakable(piece, local, params.q, params.k).unbreakable
+            pieces.append(
+                HierarchyPiece(i, component, terminals, piece, to_parent, local, flag)
+            )
     return ExpanderHierarchy(
-        levels=levels, certificates=certificates, params=params, exact=state["exact"]
+        levels=levels, pieces=tuple(pieces), params=params, exact=state["exact"]
     )
 
 
@@ -398,42 +437,3 @@ def _merge_bottom(stacks: list[list[set]]) -> list[set]:
         for i, level in enumerate(stack):
             merged[i] |= level
     return merged
-
-
-def hierarchy_pieces(g: DiGraph, levels):
-    """Yield (level, component, terminals) for every piece of a hierarchy.
-
-    Level i (1-based) is paired with every SCC of the graph induced by the
-    prefix V_1 .. V_i; the terminals are that component's members at level
-    i and may be empty.  Components come in ``scc`` order.
-    """
-    prefix: set = set()
-    for i, level in enumerate(levels, start=1):
-        prefix |= level
-        sub, to_parent = g.induced(prefix)
-        for comp in scc(sub).components:
-            component = frozenset(to_parent[v] for v in comp)
-            yield i, component, component & level
-
-
-def _certify(g, levels, params, verify) -> tuple[LevelCertificate, ...]:
-    certs = []
-    for i, component, terminals in hierarchy_pieces(g, levels):
-        if not terminals:
-            continue
-        flag = None
-        if verify:
-            csub, c_to_parent = g.induced(component)
-            local = {c_to_parent.index(v) for v in terminals}
-            flag = is_unbreakable(csub, local, params.q, params.k).unbreakable
-        certs.append(
-            LevelCertificate(
-                level=i,
-                component=component,
-                terminals=terminals,
-                unbreakable=flag,
-                q=params.q,
-                k=params.k,
-            )
-        )
-    return tuple(certs)

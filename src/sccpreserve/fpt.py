@@ -28,7 +28,7 @@ from math import ceil, log, sqrt
 from . import limits
 from .digraph import DiGraph
 from .errors import InputError
-from .expander import HierarchyParams, build_hierarchy, hierarchy_pieces
+from .expander import HierarchyParams, build_hierarchy
 from .impcut import OK, important_cut_container
 from .preservers import PreserverResult, is_ft_critical, sscp
 from .variants import VariantSpec
@@ -39,13 +39,13 @@ class FptCache:
     """Memo for the expensive container ingredients.
 
     Single-source preservers are kept one per (scope, u, k), where the scope
-    is the tuple of parent vertices of the piece g (``c_to_parent`` of an
-    induced subgraph; g's own vertices by default).  An entry holds the
-    edge records of S = sscp(G, u, k) and of the host G it was computed on,
-    and answers for a graph g exactly when S <= E(g) <= E(G).  Records are
-    compared whole (id, tail, head, color), so graphs whose ids coincide but
-    whose edges differ never share an entry.  A recomputation replaces the
-    entry; g = G is the exact hit.
+    is the tuple of parent vertices of the piece g (its ``to_parent``; g's
+    own vertices by default).  An entry holds the edge records of
+    S = sscp(G, u, k) and of the host G it was computed on, and answers for
+    a graph g exactly when S <= E(g) <= E(G).  Records are compared whole
+    (id, tail, head, color), so graphs whose ids coincide but whose edges
+    differ never share an entry.  A recomputation replaces the entry; g = G
+    is the exact hit.
 
     The reuse is exact: greedy sscp(G', u, k) = S whenever S <= G' <= G.
     Let e_1 < e_2 < ... be the edge ids of G and H_i the greedy graph on G
@@ -65,18 +65,14 @@ class FptCache:
     graph content: a graph hashes and compares by its signature, so only an
     identical graph hits.  Both computations are deterministic functions of
     the graph and their other arguments; a hierarchy also depends on
-    ``limits.exact_cut_limit()``, which joins its key.
-
-    Induced pieces are interned by (graph, component): ``g.induced`` is a
-    deterministic function of both, so a repeated piece is the very object
-    built the first time, and the container and hierarchy keys built on it
-    then match by identity instead of comparing signatures record by record.
+    ``limits.exact_cut_limit()``, which joins its key.  A memoized
+    hierarchy hands out the same piece graphs on every hit, so container
+    keys built on them match by identity before any signature is compared.
     """
 
     sscp_entries: dict = field(default_factory=dict)
     containers: dict = field(default_factory=dict)
     hierarchies: dict = field(default_factory=dict)
-    pieces: dict = field(default_factory=dict)
 
     def sscp_for(
         self, g: DiGraph, u: int, k: int, scope: tuple | None = None
@@ -91,14 +87,6 @@ class FptCache:
         kept = sscp(g, u, k).kept_edges
         self.sscp_entries[key] = (kept, frozenset(g.edge(i) for i in kept), records)
         return kept
-
-    def piece(self, g: DiGraph, component: frozenset):
-        key = (g, component)
-        hit = self.pieces.get(key)
-        if hit is None:
-            hit = g.induced(component)
-            self.pieces[key] = hit
-        return hit
 
     def hierarchy(self, g: DiGraph, params: HierarchyParams):
         key = (g, params, limits.exact_cut_limit())
@@ -235,6 +223,7 @@ class FptContainerResult:
     seed: int
     levels: tuple  # (level, component, terminal count, container size) rows
     sample_count: int
+    exact: bool  # the hierarchy's sparse cuts were all exhaustive
 
 
 def container_params(n: int, k: int) -> tuple[int, int]:
@@ -259,7 +248,7 @@ def fpt_container_all_pairs(
     if cache is None:
         cache = FptCache()
     if g.n == 0:
-        return FptContainerResult(frozenset(), seed, (), 0)
+        return FptContainerResult(frozenset(), seed, (), 0, True)
     q, kh = container_params(g.n, k)
     params = HierarchyParams(
         q=max(q, ceil(kh / Fraction(1, 2))), k=kh, phi=Fraction(1, 2)
@@ -269,21 +258,22 @@ def fpt_container_all_pairs(
     edges: set = set()
     rows = []
     lam = 0
-    for i, component, terminals in hierarchy_pieces(g, hierarchy.levels):
+    for piece in hierarchy.pieces:
         sub_seed = rng.randrange(1 << 62)  # drawn for terminal-free pieces too
-        if not terminals:
+        if not piece.terminals:
             continue
-        csub, c_to_parent = cache.piece(g, component)
-        local_index = {v: j for j, v in enumerate(c_to_parent)}
-        local_terminals = [local_index[v] for v in terminals]
         report = critical_edge_container(
-            csub, local_terminals, q, k, sub_seed, cache, c_to_parent
+            piece.graph, piece.local_terminals, q, k, sub_seed, cache, piece.to_parent
         )
         edges |= report.edges
         lam = max(lam, report.sample_count)
-        rows.append((i, tuple(sorted(component)), len(terminals), len(report.edges)))
+        rows.append((
+            piece.level, tuple(sorted(piece.component)), len(piece.terminals),
+            len(report.edges),
+        ))
     return FptContainerResult(
-        edges=frozenset(edges), seed=seed, levels=tuple(rows), sample_count=lam
+        edges=frozenset(edges), seed=seed, levels=tuple(rows), sample_count=lam,
+        exact=hierarchy.exact,
     )
 
 
@@ -303,6 +293,8 @@ def fpt_preserver(
     ``oracle_check`` every removal is first confirmed non-critical by the
     exhaustive oracle; a container that wrongly excluded a critical edge is
     counted and the iteration reseeds instead of removing.
+    ``stats["exact"]`` is False when some iteration's hierarchy used a
+    heuristic sparse cut.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
@@ -316,12 +308,14 @@ def fpt_preserver(
     consecutive_misses = 0
     container_sizes = []
     last_levels = ()
+    exact = True
     while len(kept) > threshold:
         iterations += 1
         sub_seed = rng.randrange(1 << 62)
         h = g.restrict_to(kept)
         container = fpt_container_all_pairs(h, k, sub_seed, cache)
         container_sizes.append(len(container.edges))
+        exact &= container.exact
         last_levels = tuple(
             (level, terminal_count, size)
             for level, _, terminal_count, size in container.levels
@@ -351,6 +345,7 @@ def fpt_preserver(
             "container_levels": last_levels,
             "container_misses": container_misses,
             "sample_count": sample_count(g.n),
+            "exact": exact,
         },
         provenance="fpt",
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .digraph import DiGraph
 from .errors import InputError
-from .expander import HierarchyParams, build_hierarchy, hierarchy_pieces
+from .expander import HierarchyParams, build_hierarchy
 from .variants import ConnectivityOracle, CriticalityScan, VariantSpec
 
 
@@ -108,29 +108,25 @@ def hierarchy_preserver(
     Default parameters follow the existential construction: a hierarchy for
     (2k, k)-unbreakable sets (phi = 1/2), then one greedy sourcewise
     preserver per (level, SCC of the prefix graph), unioned over all levels.
+    ``stats["exact"]`` is the hierarchy's flag: False when some sparse cut
+    was heuristic (past ``limits.exact_cut_limit()`` vertices).
     """
     if k < 0:
         raise InputError("k must be nonnegative")
     if g.n == 0:
         return PreserverResult(
-            frozenset(), "all_pairs", {"k": k}, {"input_edges": 0, "output_edges": 0},
-            "hierarchy",
+            frozenset(), "all_pairs", {"k": k},
+            {"input_edges": 0, "output_edges": 0, "exact": True}, "hierarchy",
         )
     if params is None:
         # k=0 still needs valid params; the level structure depends on phi only
         params = HierarchyParams(q=max(2 * k, 2), k=max(k, 1))
     hierarchy = build_hierarchy(g, params, verify_certificates=False)
     kept: set = set()
-    pieces = 0
-    for _, component, terminals in hierarchy_pieces(g, hierarchy.levels):
-        if not terminals:
-            continue
-        csub, c_to_parent = g.induced(component)
-        local_index = {v: i for i, v in enumerate(c_to_parent)}
-        local_terminals = frozenset(local_index[v] for v in terminals)
-        piece = greedy_preserver(csub, VariantSpec.sourcewise(local_terminals), k)
-        kept |= piece.kept_edges
-        pieces += 1
+    pieces = hierarchy.certificates
+    for piece in pieces:
+        spec = VariantSpec.sourcewise(piece.local_terminals)
+        kept |= greedy_preserver(piece.graph, spec, k).kept_edges
     return PreserverResult(
         kept_edges=frozenset(kept),
         variant="all_pairs",
@@ -139,7 +135,8 @@ def hierarchy_preserver(
             "input_edges": g.m,
             "output_edges": len(kept),
             "levels": hierarchy.depth,
-            "pieces": pieces,
+            "pieces": len(pieces),
+            "exact": hierarchy.exact,
         },
         provenance="hierarchy",
     )

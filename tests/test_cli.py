@@ -216,6 +216,33 @@ def test_hierarchy_exact_flag_follows_env_limit(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["exact"] is False
 
 
+def test_build_reports_heuristic_hierarchy(tmp_path, capsys, monkeypatch):
+    gpath = str(tmp_path / "g.txt")
+    dump(gen_random(8, 16, 1, ensure_strongly_connected=True), gpath)
+    for algo in ("hierarchy", "fpt"):
+        argv = ("build", "--graph", gpath, "--algo", algo, "-k", "1", "--json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["stats"]["exact"] is True
+        with monkeypatch.context() as patch:
+            patch.setenv("SCC_PRESERVE_EXACT_CUT_LIMIT", "4")
+            code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["stats"]["exact"] is False
+
+
+def test_verify_rejects_boolean_edge_ids(tmp_path, capsys):
+    # a JSON boolean is a Python int: [true, false, 2, 3] must not read as {1, 0, 2, 3}
+    gpath = str(tmp_path / "g.txt")
+    dump(gen_random(5, 8, 0, ensure_strongly_connected=True), gpath)
+    ppath = tmp_path / "p.json"
+    for data in ([True, False, 2, 3], {"kept_edges": [0, 1, 2, True]}):
+        ppath.write_text(json.dumps(data))
+        code, _, err = run_cli(
+            capsys, "verify", "--graph", gpath, "--preserver", str(ppath), "-k", "1"
+        )
+        assert code == 2
+        assert "kept_edges" in err
+
+
 def test_search_cap_counts_nodes_not_the_sweep(tmp_path, capsys, monkeypatch):
     # C(100, <= 4) = 4,087,976 fault sets is past the default cap of 2M,
     # yet the largest criticality search on this host sees only 81

@@ -269,6 +269,12 @@ def test_hierarchy_params_validated():
         HierarchyParams(q=2, k=1, phi=Fraction(3, 2))
 
 
+@pytest.mark.parametrize("q, k", [("3", 1), (2.5, 1), (2, 1.0), (2, True), (True, 1)])
+def test_hierarchy_params_need_ints(q, k):
+    with pytest.raises(InputError):
+        HierarchyParams(q=q, k=k)
+
+
 @pytest.mark.parametrize("phi", ["abc", "1/0", None, float("nan"), [1, 2]])
 def test_bad_phi_is_input_error(phi):
     with pytest.raises(InputError):

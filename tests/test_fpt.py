@@ -233,16 +233,17 @@ def test_fpt_preserver_outputs_sound_random():
 
 
 def test_interned_pieces_are_shared_and_change_nothing():
+    # the hierarchy memo hands every lookup the same piece objects
     for trial in range(8):
         g = gen_random(7, 16, 300 + trial, ensure_strongly_connected=True)
         cache = FptCache()
         for seed in range(3):
             warm = fpt_container_all_pairs(g, 1, seed, cache)
             assert warm == fpt_container_all_pairs(g, 1, seed, FptCache())
-        for (host, component), (piece, to_parent) in cache.pieces.items():
-            assert host is g
-            assert (piece, to_parent) == g.induced(component)
-            assert cache.piece(g, component)[0] is piece
-        # every container lookup on a repeated piece hit the interned object
+        (hierarchy,) = cache.hierarchies.values()
+        pieces = hierarchy.certificates
+        for piece in pieces:
+            assert (piece.graph, piece.to_parent) == g.induced(piece.component)
+        # every container lookup ran on a piece object of the memoized hierarchy
         hosts = {id(key[0]) for key in cache.containers}
-        assert hosts <= {id(piece) for piece, _ in cache.pieces.values()}
+        assert hosts and hosts <= {id(piece.graph) for piece in pieces}

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sccpreserve.digraph import DiGraph
-from sccpreserve.expander import giant_component_check
+from sccpreserve.expander import HierarchyParams, build_hierarchy, giant_component_check
 from sccpreserve.variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
 from sccpreserve.verify import verify_bounded_degree_witness, verify_color_witness
 
@@ -138,3 +138,26 @@ def test_witness_checks_match_reference(g, data):
     got = verify_color_witness(colored, kept, cross, failed, s, y)
     assert got == _witness_ref(colored, kept, cross, fault, s, y)
     assert not verify_color_witness(colored, kept | {twin}, twin, failed, s, y)
+
+
+@PROPERTY
+@given(loopy_multigraphs())
+def test_hierarchy_pieces_match_reference_walk(g):
+    # per level, the SCCs of the prefix graph (g without the edges that
+    # leave the prefix) with their members at that level
+    hier = build_hierarchy(g, HierarchyParams(q=2, k=1), verify_certificates=False)
+    levels = [piece.level for piece in hier.pieces]
+    assert levels == sorted(levels)
+    prefix = set()
+    for i, level in enumerate(hier.levels, start=1):
+        prefix |= level
+        outside = {e.id for e in g.edges if not {e.tail, e.head} <= prefix}
+        want = {(c, c & level) for c in scc_sets_ref(g, outside) if c <= prefix}
+        got = [(piece.component, piece.terminals) for piece in hier.pieces if piece.level == i]
+        assert len(got) == len(want) and set(got) == want
+    for piece in hier.pieces:
+        if piece.terminals:
+            assert (piece.graph, piece.to_parent) == g.induced(piece.component)
+            assert {piece.to_parent[j] for j in piece.local_terminals} == piece.terminals
+        else:
+            assert piece.graph is None
