@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InputError
+from .errors import InputError, require_int
 
 @dataclass(frozen=True)
 class Edge:
@@ -35,18 +35,16 @@ class DiGraph:
     0..m-1 in input order; derived subgraphs keep their parent's ids.
     """
 
-    __slots__ = ("n", "edges", "_by_id", "_out", "_key", "_hash")
+    __slots__ = ("n", "edges", "_by_id", "_key", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple] = (), *, _records=None):
-        if n < 0:
-            raise InputError("vertex count must be nonnegative")
+        require_int("vertex count", n, 0)
         object.__setattr__(self, "n", n)
         if _records is None:
             records = _edge_records(edges, 0)
         else:
             records = sorted(_records, key=lambda e: e.id)
         by_id = {}
-        out = [[] for _ in range(n)]
         for e in records:
             if not (0 <= e.tail < n and 0 <= e.head < n):
                 raise InputError(f"edge {e.id} endpoint out of range: {e}")
@@ -55,10 +53,8 @@ class DiGraph:
             if e.id in by_id:
                 raise InputError(f"duplicate edge id {e.id}")
             by_id[e.id] = e
-            out[e.tail].append(e)
         object.__setattr__(self, "edges", tuple(records))
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_out", tuple(tuple(es) for es in out))
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_hash", None)
 
@@ -85,13 +81,9 @@ class DiGraph:
     def edge_ids(self) -> frozenset:
         return frozenset(self._by_id)
 
-    def out_edges(self, v: int) -> tuple[Edge, ...]:
-        self._check_vertex(v)
-        return self._out[v]
-
     def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise InputError(f"vertex {v} out of range [0, {self.n})")
+        if type(v) is not int or not 0 <= v < self.n:
+            raise InputError(f"vertex {v!r} is not an int in [0, {self.n})")
 
     def signature(self) -> tuple:
         """Hashable content key (used by caches and equality)."""

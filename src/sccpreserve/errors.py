@@ -8,6 +8,12 @@ class InputError(ValueError):
 class CapabilityError(RuntimeError):
     """An exhaustive search would exceed the configured enumeration limits.
 
-    Raised instead of silently truncating; limits can be raised explicitly
-    (function arguments) or via SCC_PRESERVE_* environment variables.
+    Raised instead of silently truncating; the limits are raised only
+    through the SCC_PRESERVE_* environment variables.
     """
+
+
+def require_int(name: str, value, least: int) -> None:
+    """Raise InputError unless ``value`` is an int, not a bool, and >= ``least``."""
+    if type(value) is not int or value < least:
+        raise InputError(f"{name} must be an int >= {least}, got {value!r}")

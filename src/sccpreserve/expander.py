@@ -40,7 +40,7 @@ from operator import add
 
 from . import limits
 from .digraph import DiGraph, mask_to_set, scc, set_to_mask
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, require_int
 from .flowcut import Cut, bind, make_cut
 from .variants import ConnectivityOracle, VariantSpec, fault_sets_colex
 
@@ -62,14 +62,12 @@ class HierarchyParams:
     phi: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
-        if not type(self.q) is type(self.k) is int:  # bool is an int subclass
-            raise InputError(f"q and k must be ints, got {self.q!r} and {self.k!r}")
+        require_int("q", self.q, 1)
+        require_int("k", self.k, 1)
         phi = _fraction(self.phi)
         object.__setattr__(self, "phi", phi)
         if not (0 < phi <= 1):
             raise InputError("phi must be in (0, 1]")
-        if self.q < 1 or self.k < 1:
-            raise InputError("q and k must be positive")
         if self.q * phi < self.k:
             raise InputError(f"need q >= k/phi (q={self.q}, k={self.k}, phi={phi})")
 
@@ -85,8 +83,8 @@ def is_unbreakable(g: DiGraph, terminals, q: int, k: int) -> UnbreakabilityResul
     U = frozenset(terminals)
     for v in U:
         g._check_vertex(v)
-    if q < 0 or k < 0:
-        raise InputError("q and k must be nonnegative")
+    require_int("q", q, 0)
+    require_int("k", k, 0)
     if len(U) <= 2 * q + 1:
         return UnbreakabilityResult(True)  # both sides can never exceed q
     cap = limits.max_subset_pairs()
@@ -121,8 +119,8 @@ def giant_component_check(g: DiGraph, terminals, q: int, k: int) -> bool:
     U = frozenset(terminals)
     for v in U:
         g._check_vertex(v)
-    if q < 0 or k < 0:
-        raise InputError("q and k must be nonnegative")
+    require_int("q", q, 0)
+    require_int("k", k, 0)
     target = len(U) - 2 * q
     if target <= 0:
         return True
@@ -136,24 +134,6 @@ def giant_component_check(g: DiGraph, terminals, q: int, k: int) -> bool:
         ):
             return False
     return True
-
-
-def _side_ratio(side_mask: int, u_mask: int, heads_with_mult):
-    """(boundary size, min terminal side) of one cut, or None if U not separated."""
-    inside = (side_mask & u_mask).bit_count()
-    outside = (u_mask & ~side_mask).bit_count()
-    small = min(inside, outside)
-    if small == 0:
-        return None
-    boundary = 0
-    bits = side_mask
-    while bits:
-        b = bits & -bits
-        bits ^= b
-        for h in heads_with_mult[b.bit_length() - 1]:
-            if not (side_mask >> h) & 1:
-                boundary += 1
-    return boundary, small
 
 
 def _boundary_table(g: DiGraph) -> list[int]:
@@ -237,25 +217,24 @@ def _heuristic_sparse_cut(g: DiGraph, terminals, phi: Fraction, rng) -> Cut | No
     """Randomized fallback past the exact enumeration limit.
 
     Seeds candidate sides with min cuts between random terminal pairs, then
-    hill-climbs single-vertex moves to lower the ratio.  Finding nothing is
-    not a certificate of expansion; hierarchies built this way carry
-    unverified certificates.
+    hill-climbs single-vertex moves to lower the ratio.  A side's boundary
+    is counted on the bound view, one head per non-loop edge leaving it.
+    Finding nothing is not a certificate of expansion; hierarchies built
+    this way carry unverified certificates.
     """
     U = sorted(terminals)
     u_mask = set_to_mask(U)
-    heads = [[] for _ in range(g.n)]
-    for e in g.edges:
-        if e.tail != e.head:
-            heads[e.tail].append(e.head)
     full = (1 << g.n) - 1
+    view = bind(g)
 
     def ratio_of(mask):
-        scored = _side_ratio(mask, u_mask, heads)
-        if scored is None:
+        """|boundary| / smaller terminal side, or None if U is not separated."""
+        inside = (mask & u_mask).bit_count()
+        small = min(inside, len(U) - inside)
+        if small == 0:
             return None
-        return Fraction(scored[0], scored[1])
+        return Fraction(len(view.boundary_heads(mask)), small)
 
-    view = bind(g)
     candidates = []
     for _ in range(min(20, len(U) * (len(U) - 1))):
         a, b = rng.sample(U, 2)

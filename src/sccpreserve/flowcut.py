@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import DiGraph, mask_to_set, set_to_mask
-from .errors import InputError
+from .digraph import DiGraph, mask_to_set, reach_mask, set_to_mask
+from .errors import InputError, require_int
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,7 @@ class FlowView:
         """min(flow(s, t), flow(t, s), k), computed with capped flows."""
         if s == t:
             raise InputError("s and t must differ")
-        if k < 0:
-            raise InputError("k must be nonnegative")
+        require_int("k", k, 0)
         if k == 0:
             return 0
         for v in (s, t):
@@ -433,8 +432,8 @@ def max_flow(g: DiGraph, X, Y, cap: int | None = None) -> FlowValue:
     edge-disjoint paths.
     """
     X, Y = _check_terminals(g, X, Y)
-    if cap is not None and cap < 0:
-        raise InputError("cap must be nonnegative")
+    if cap is not None:
+        require_int("cap", cap, 0)
     net = _Residual(g, X, Y)
     value = net.run(cap)
     clamped = cap is not None and value == cap and net.augment_once()
@@ -451,6 +450,8 @@ def max_flow(g: DiGraph, X, Y, cap: int | None = None) -> FlowValue:
 def flow_value(g: DiGraph, X, Y, cap: int | None = None) -> int:
     """Value-only flow on a one-query view; loops bind g once instead."""
     X, Y = _check_terminals(g, X, Y)
+    if cap is not None:
+        require_int("cap", cap, 0)
     return bind(g).value(set_to_mask(X), set_to_mask(Y), cap)
 
 
@@ -472,33 +473,46 @@ def farthest_min_cut(g: DiGraph, X, Y) -> Cut:
     return make_cut(g, mask_to_set(side), "out")
 
 
-def canonicalize_out_reachable(g: DiGraph, cut: Cut, X, Y) -> Cut:
-    """Shrink a cut side to the X-reachable part; boundary only shrinks."""
+def _reach_inside(adj, start: int, side: int) -> int:
+    """Vertices of the ``side`` mask reachable from ``start`` without leaving it.
+
+    ``adj`` is a list of out-neighbour masks, such as a bound view's
+    ``nonzero``; the start mask is taken to lie inside the side.
+    """
+    return reach_mask([row & side for row in adj], start)
+
+
+def _reachable_cut(g: DiGraph, cut: Cut, X, Y, direction: str) -> Cut:
+    """The cut, in ``direction``, on the part of the side X reaches inside it.
+
+    The walk runs on the bound view's adjacency, transposed for 'in', so an
+    in-walk from X finds the side vertices that reach X in g.
+    """
     X, Y = _check_terminals(g, X, Y)
-    side = frozenset(cut.side)
-    if not X <= side or side & Y:
+    for v in cut.side:
+        g._check_vertex(v)
+    side = set_to_mask(cut.side)
+    x_mask = set_to_mask(X)
+    if x_mask & ~side or side & set_to_mask(Y):
         raise InputError("cut is not an (X, Y)-cut")
-    blocked = boundary_edges(g, side, "out")
-    reached = set(X)
-    stack = list(X)
-    while stack:
-        u = stack.pop()
-        for e in g.out_edges(u):
-            if e.id in blocked:
-                continue
-            if e.head not in reached:
-                reached.add(e.head)
-                stack.append(e.head)
-    new_side = frozenset(reached)
-    return Cut(side=new_side, direction="out", boundary=boundary_edges(g, new_side, "out"))
+    adj = bind(g, reverse=direction == "in").nonzero
+    return make_cut(g, mask_to_set(_reach_inside(adj, x_mask, side)), direction)
+
+
+def canonicalize_out_reachable(g: DiGraph, cut: Cut, X, Y) -> Cut:
+    """Shrink a cut side to the X-reachable part; boundary only shrinks.
+
+    The side keeps the vertices X reaches along edges inside it.  The side
+    must hold X and miss Y, and a side vertex outside [0, n) raises
+    InputError.
+    """
+    return _reachable_cut(g, cut, X, Y, "out")
 
 
 def canonicalize_in_reachable(g: DiGraph, cut: Cut, X, Y) -> Cut:
-    """Mirror of :func:`canonicalize_out_reachable` on the reversed graph."""
-    rev = g.reverse()
-    out_cut = canonicalize_out_reachable(rev, Cut(cut.side, "out", frozenset()), X, Y)
-    return Cut(
-        side=out_cut.side,
-        direction="in",
-        boundary=boundary_edges(g, out_cut.side, "in"),
-    )
+    """Mirror of :func:`canonicalize_out_reachable`: an in-cut on the side
+    vertices that reach X inside the side.
+
+    The walk runs on the transposed view, so no reversed graph is built.
+    """
+    return _reachable_cut(g, cut, X, Y, "in")

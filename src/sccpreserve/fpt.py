@@ -27,7 +27,7 @@ from math import ceil, log, sqrt
 
 from . import limits
 from .digraph import DiGraph
-from .errors import InputError
+from .errors import InputError, require_int
 from .expander import HierarchyParams, build_hierarchy
 from .impcut import OK, important_cut_container
 from .preservers import PreserverResult, is_ft_critical, sscp
@@ -149,10 +149,8 @@ def critical_edge_container(
     2 * lambda * q terminals: the terminal set is not unbreakable enough
     for the sampling bound.
     """
-    if q < 1:
-        raise InputError("q must be positive")
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("q", q, 1)
+    require_int("k", k, 0)
     U = sorted(set(terminals))
     for v in U:
         g._check_vertex(v)
@@ -243,8 +241,7 @@ def fpt_container_all_pairs(
     induced subgraph.  With high probability the union contains every
     k-fault critical edge of g.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     if cache is None:
         cache = FptCache()
     if g.n == 0:
@@ -296,8 +293,7 @@ def fpt_preserver(
     ``stats["exact"]`` is False when some iteration's hierarchy used a
     heuristic sparse cut.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     threshold = stop_threshold if stop_threshold is not None else 0
     if cache is None:
         cache = FptCache()

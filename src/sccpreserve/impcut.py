@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from . import limits
 from .digraph import DiGraph, mask_to_set, out_masks, reach_mask, set_to_mask
-from .errors import InputError
-from .flowcut import Cut, _check_terminals, bind, boundary_edges, make_cut
+from .errors import InputError, require_int
+from .flowcut import Cut, _check_terminals, _reach_inside, bind, make_cut
 
 NO_SMALL_CUTS = "no_important_cuts"
 OK = "ok"
@@ -59,8 +59,7 @@ def important_cut_container(
     tails of g's in-boundary, and edge ids are shared, so the boundary is
     reported against g directly.  No reversed graph is built.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     if direction not in ("out", "in"):
         raise InputError(f"bad direction {direction!r}")
     X, Y = _check_terminals(g, X, Y)
@@ -83,62 +82,48 @@ def important_cut_container(
     return ContainerResult(OK, make_cut(g, nested[-1], direction), lam, k_star, nested)
 
 
-def _out_reachable_side(adj, x_mask: int, side_mask: int) -> bool:
-    """Every side vertex reachable from X without leaving the side."""
-    inside = [adj[v] & side_mask for v in range(len(adj))]
-    return reach_mask(inside, x_mask) == side_mask
-
-
 def enumerate_important_cuts(
     g: DiGraph, X, Y, k: int, direction: str = "out"
 ) -> tuple[Cut, ...]:
     """All important (X, Y)-cuts with boundary size <= k, by 2^n filtering.
 
     This is the brute-force oracle the container is tested against; it is
-    only meant for small graphs (default guard n <= 16).
+    only meant for small graphs (default guard n <= 16).  Both directions
+    run one loop: a side is a candidate when X reaches all of it inside it
+    along the bound view's adjacency, transposed for ``direction='in'``,
+    and its boundary is read against g in that direction.
     """
-    if direction == "in":
-        rev = enumerate_important_cuts(g.reverse(), X, Y, k, "out")
-        return tuple(
-            Cut(c.side, "in", boundary_edges(g, c.side, "in")) for c in rev
-        )
-    if direction != "out":
+    if direction not in ("out", "in"):
         raise InputError(f"bad direction {direction!r}")
     X, Y = _check_terminals(g, X, Y)
     limits.guard_side_enumeration(g.n)
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
 
     x_mask = set_to_mask(X)
     y_mask = set_to_mask(Y)
-    adj = out_masks(g)
-    candidates = []  # (side_mask, boundary frozenset)
+    adj = bind(g, reverse=direction == "in").nonzero
+    candidates = []  # (side_mask, cut)
     for side_mask in range(1, 1 << g.n):
         if (side_mask & x_mask) != x_mask or (side_mask & y_mask):
             continue
-        if not _out_reachable_side(adj, x_mask, side_mask):
+        if _reach_inside(adj, x_mask, side_mask) != side_mask:
             continue
-        boundary = frozenset(
-            e.id
-            for e in g.edges
-            if (side_mask >> e.tail) & 1 and not (side_mask >> e.head) & 1
-        )
-        if len(boundary) <= k:
-            candidates.append((side_mask, boundary))
+        cut = make_cut(g, mask_to_set(side_mask), direction)
+        if cut.size() <= k:
+            candidates.append((side_mask, cut))
     cuts = []
-    for side_mask, boundary in candidates:
+    for side_mask, cut in candidates:
         important = True
-        for other_mask, other_boundary in candidates:
+        for other_mask, other in candidates:
             if (
                 other_mask != side_mask
                 and (other_mask & side_mask) == side_mask
-                and len(other_boundary) <= len(boundary)
+                and other.size() <= cut.size()
             ):
                 important = False
                 break
         if important:
-            side = frozenset(v for v in range(g.n) if (side_mask >> v) & 1)
-            cuts.append(Cut(side=side, direction="out", boundary=boundary))
+            cuts.append(cut)
     cuts.sort(key=lambda c: sorted(c.side))
     return tuple(cuts)
 
@@ -160,6 +145,7 @@ def check_anti_isolation(
     report carries both the validity and the bound so searches for
     counterexamples can distinguish "invalid instance" from "bound broken".
     """
+    require_int("k", k, 0)
     sinks = list(sinks)
     faults = [frozenset(f) for f in faults]
     if len(sinks) != len(faults):

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from math import ceil, sqrt
 
 from . import limits
-from .digraph import DiGraph
-from .errors import InputError
+from .digraph import DiGraph, mask_to_set
+from .errors import InputError, require_int
 from .expander import is_unbreakable
-from .flowcut import Cut, bind, boundary_edges
+from .flowcut import Cut, FlowView, bind, boundary_edges
 from .preservers import PreserverResult
 
 
@@ -54,8 +54,7 @@ def demand_pairs(g: DiGraph, k: int) -> DemandPairs:
     Ties are broken by (weight desc, vertex ids asc), which fixes one of the
     equally valid maximum spanning trees.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     n = g.n
     if n <= 1:
         return DemandPairs(pairs=(), tree_edges=())
@@ -86,9 +85,8 @@ def demand_pairs(g: DiGraph, k: int) -> DemandPairs:
     )
 
 
-def _preserves_pairs(h: DiGraph, banned: frozenset, targets) -> bool:
-    """Does h minus banned still meet every (u, v, needed) target?"""
-    probe = bind(h.remove_edges(banned))
+def _preserves_pairs(probe: FlowView, targets) -> bool:
+    """Does the bound graph meet every (u, v, needed) target?"""
     for u, v, needed in targets:
         if needed == 0:
             continue
@@ -106,8 +104,9 @@ def greedy_kconn_preserver(
 
     One pass in ascending edge id drops every edge whose removal keeps the
     targets: every pair, or with ``use_demand_pairs`` only the demand pairs,
-    each with its clamped connectivity min(lambda, k).  Transitivity keeps
-    the final result a preserver of the input.
+    each with its clamped connectivity min(lambda, k).  Each probe binds one
+    graph, g restricted to the kept edges minus the probed one.
+    Transitivity keeps the final result a preserver of the input.
 
     The targets are computed once, from g.  A removal is committed only
     when every target pair keeps its clamped connectivity, and so does
@@ -123,8 +122,7 @@ def greedy_kconn_preserver(
     (u, v), so the pair fails in H' - e too; and a failing pair implies a
     failing demand pair, because meeting every demand pair meets every pair.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     kept = set(g.edge_ids())
     oracle_calls = 0
     if use_demand_pairs:
@@ -137,14 +135,12 @@ def greedy_kconn_preserver(
                 lam = view.symmetric(u, v, k)
                 if lam:
                     targets.append((u, v, lam))
-    h = g
     for e in g.edges:
         if e.tail != e.head:
             oracle_calls += 1
-            if not _preserves_pairs(h, frozenset((e.id,)), targets):
+            if not _preserves_pairs(bind(g.restrict_to(kept - {e.id})), targets):
                 continue
         kept.discard(e.id)
-        h = g.restrict_to(kept)
     return PreserverResult(
         kept_edges=frozenset(kept),
         variant="kconn",
@@ -180,10 +176,8 @@ def unbreakability_decomposition(g: DiGraph, q: int, k: int) -> Decomposition:
     search is the unbreakability oracle with threshold q-1.  At most n/q
     cuts are ever recorded.
     """
-    if q < 1:
-        raise InputError("q must be positive")
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("q", q, 1)
+    require_int("k", k, 0)
     if g.n == 0:
         return Decomposition(parts=(), cuts=(), q=q, k=k)
     parts = [frozenset(range(g.n))]
@@ -228,10 +222,9 @@ def check_kcritical_cut_bound(
     Without ``sample_limit`` all 2^n - 2 sides are checked, under the
     side-enumeration guard.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
-    if sample_limit is not None and sample_limit < 0:
-        raise InputError("sample_limit must be nonnegative")
+    require_int("k", k, 0)
+    if sample_limit is not None:
+        require_int("sample_limit", sample_limit, 0)
     n = h.n
     if sample_limit is None:
         limits.guard_side_enumeration(n)
@@ -246,7 +239,7 @@ def check_kcritical_cut_bound(
     checked = 0
     violations = []
     for mask in masks:
-        side = frozenset(v for v in range(n) if (mask >> v) & 1)
+        side = mask_to_set(mask)
         out_size = len(boundary_edges(h, side, "out"))
         if out_size > k:
             continue

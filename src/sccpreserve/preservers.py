@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import DiGraph
-from .errors import InputError
+from .errors import InputError, require_int
 from .expander import HierarchyParams, build_hierarchy
 from .variants import ConnectivityOracle, CriticalityScan, VariantSpec
 
@@ -111,8 +111,7 @@ def hierarchy_preserver(
     ``stats["exact"]`` is the hierarchy's flag: False when some sparse cut
     was heuristic (past ``limits.exact_cut_limit()`` vertices).
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     if g.n == 0:
         return PreserverResult(
             frozenset(), "all_pairs", {"k": k},

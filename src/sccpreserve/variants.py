@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from . import limits
 from .digraph import DiGraph, reach_mask, shortest_path
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, require_int
 
 ALL_PAIRS = "all_pairs"
 SOURCEWISE = "sourcewise"
@@ -462,8 +462,7 @@ class CriticalityScan:
     """
 
     def __init__(self, oracle: ConnectivityOracle, active, k: int):
-        if k < 0:
-            raise InputError("k must be nonnegative")
+        require_int("k", k, 0)
         self.cap = limits.max_fault_sets()
         self.oracle = oracle
         self.active = set(active)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import limits
-from .digraph import DiGraph
-from .errors import CapabilityError, InputError
-from .flowcut import bind
+from .digraph import DiGraph, mask_to_set
+from .errors import CapabilityError, InputError, require_int
+from .flowcut import bind, boundary_edges
 from .variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
 
 
@@ -56,8 +56,7 @@ def verify_ft(g: DiGraph, kept_edges, spec: VariantSpec, k: int) -> VerifyResult
 
     Fault sets range over E(H), so the guard counts |E(H)|, not |E(g)|.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
     spec.validate(g)
     limits.guard_fault_sets(len(kept), k)
@@ -67,8 +66,7 @@ def verify_ft(g: DiGraph, kept_edges, spec: VariantSpec, k: int) -> VerifyResult
 
 def verify_kconn(g: DiGraph, kept_edges, k: int) -> VerifyResult:
     """Check that H preserves min(lambda, k) for every vertex pair."""
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
     view_g = bind(g)
     view_h = bind(g.restrict_to(kept))
@@ -108,12 +106,7 @@ def _minimal_symmetric_cuts(g: DiGraph):
     n = g.n
     sides = []
     for mask in range(1, (1 << n) - 1):
-        boundary = frozenset(
-            e.id
-            for e in g.edges
-            if (mask >> e.tail) & 1 and not (mask >> e.head) & 1
-        )
-        sides.append((mask, boundary))
+        sides.append((mask, boundary_edges(g, mask_to_set(mask))))
     for s in range(n):
         for t in range(n):
             if s == t:
@@ -146,8 +139,7 @@ def verify_ft_by_cuts(g: DiGraph, kept_edges, k: int) -> bool:
     min(|boundary in H|, k+1) must match min(|boundary in G|, k+1).
     Agrees with the flow-based ``verify_ft`` on the all-pairs variant.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
     for _, _, _, boundary in _minimal_symmetric_cuts(g):
         in_h = len(boundary & kept)
@@ -163,8 +155,7 @@ def verify_kconn_by_cuts(g: DiGraph, kept_edges, k: int) -> bool:
     Every minimal symmetric (s, t)-cut must keep at least min(lambda(s,t), k)
     edges in H.  Agrees with the flow-based ``verify_kconn``.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
     view = bind(g)
     lam_cache: dict[tuple, int] = {}
@@ -245,8 +236,7 @@ def verify_color_ft(g: DiGraph, kept_edges, k: int = 1) -> VerifyResult:
     number of families.  Requires a fully colored graph.  A counterexample
     names the failed color family, not its edges.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
     if any(e.color is None for e in g.edges):
         raise InputError("color-fault verification needs every edge colored")

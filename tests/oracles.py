@@ -127,6 +127,28 @@ def maximal_min_cut_side(g, sources, sinks):
     return maximal[0]
 
 
+def reachable_cut_ref(g, side, sources, direction):
+    """(side, boundary) after shrinking a cut side to its reachable part.
+
+    The side keeps what the sources reach by BFS over the edges inside it,
+    reversed for ``direction='in'``; the boundary is the edges leaving the
+    kept side ('out') or entering it ('in').
+    """
+    side = set(side)
+    inside = [
+        (eid, tail, head) if direction == "out" else (eid, head, tail)
+        for eid, tail, head in edge_list(g)
+        if tail in side and head in side
+    ]
+    kept = reach_ref(g.n, inside, sources)
+    boundary = {
+        eid
+        for eid, tail, head in edge_list(g)
+        if ((tail in kept) != (head in kept)) and ((tail in kept) == (direction == "out"))
+    }
+    return frozenset(kept), frozenset(boundary)
+
+
 def symmetric_connectivity_ref(g, s, t, k):
     if k == 0:
         return 0

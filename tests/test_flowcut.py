@@ -166,6 +166,15 @@ def test_canonicalize_rejects_non_cut():
         canonicalize_out_reachable(g, make_cut(g, {0, 3}, "out"), [0], [3])
 
 
+@pytest.mark.parametrize("canonicalize", [canonicalize_out_reachable, canonicalize_in_reachable])
+@pytest.mark.parametrize("stray", [-1, 99])
+def test_canonicalize_rejects_side_vertex_out_of_range(canonicalize, stray):
+    # such a vertex was dropped silently: both used to give side {0}
+    g = DiGraph(2, [(0, 1), (1, 0)])
+    with pytest.raises(InputError):
+        canonicalize(g, make_cut(g, {0, stray}), [0], [1])
+
+
 def test_canonicalize_in_reachable_mirrors():
     g = DiGraph(3, [(0, 1), (1, 2)])
     cut = make_cut(g, {1, 2}, "in")

@@ -5,7 +5,7 @@ import pytest
 from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import CapabilityError, InputError
 from sccpreserve.families import gen_bounded_degree_lower, gen_random
-from sccpreserve.flowcut import boundary_edges, flow_value
+from sccpreserve.flowcut import boundary_edges, canonicalize_in_reachable, flow_value
 from sccpreserve.impcut import (
     NO_SMALL_CUTS,
     OK,
@@ -224,3 +224,5 @@ def test_in_container_builds_no_reversed_graph(monkeypatch):
     monkeypatch.setattr(DiGraph, "reverse", refuse)
     res = important_cut_container(g, [0], [5], 2, "in")
     assert res.flow_value == flow_value(g, [5], [0])
+    for cut in enumerate_important_cuts(g, [0], [5], 2, "in"):
+        assert canonicalize_in_reachable(g, cut, [0], [5]) == cut

@@ -4,8 +4,16 @@ import pytest
 
 from sccpreserve.digraph import DiGraph, scc
 from sccpreserve.errors import CapabilityError, InputError
-from sccpreserve.expander import HierarchyParams, build_hierarchy
+from sccpreserve.expander import (
+    HierarchyParams,
+    build_hierarchy,
+    giant_component_check,
+    is_unbreakable,
+)
 from sccpreserve.families import gen_baswana_tree, gen_random, gen_st_lower
+from sccpreserve.flowcut import flow_value, max_flow
+from sccpreserve.impcut import check_anti_isolation, important_cut_container
+from sccpreserve.kconn import check_kcritical_cut_bound
 from sccpreserve.preservers import (
     global_from_single_source,
     greedy_preserver,
@@ -23,6 +31,40 @@ from oracles import ft_critical_ref, verify_ft_ref
 
 def all_pairs_of(g):
     return [(a, b) for a in range(g.n) for b in range(g.n) if a != b]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g: is_unbreakable(g, range(8), 2.5, 1), id="unbreakable-q"),
+        pytest.param(lambda g: giant_component_check(g, range(8), 2.5, 1), id="giant-q"),
+        pytest.param(lambda g: giant_component_check(g, range(8), 1, 1.5), id="giant-k"),
+        pytest.param(lambda g: greedy_preserver(g, VariantSpec.st(0, 2.0), 1), id="st-vertex"),
+        pytest.param(lambda g: flow_value(g, [0.5], [3]), id="flow-vertex"),
+        pytest.param(
+            lambda g: verify_ft(g, g.edge_ids(), VariantSpec.all_pairs(), 1.5), id="verify-k"
+        ),
+        pytest.param(
+            lambda g: greedy_preserver(g, VariantSpec.all_pairs(), 1.5), id="greedy-k"
+        ),
+        pytest.param(lambda g: important_cut_container(g, [0], [3], 1.5), id="container-k"),
+        pytest.param(
+            lambda g: check_anti_isolation(g, 0, [1], [frozenset()], 1.5), id="anti-isolation-k"
+        ),
+        pytest.param(lambda g: sscp(g, True, 1), id="bool-vertex"),
+        pytest.param(lambda g: DiGraph(2.0), id="vertex-count"),
+        pytest.param(lambda g: max_flow(g, [0], [3], 1.5), id="max-flow-cap"),
+        pytest.param(lambda g: flow_value(g, [0], [3], -1), id="flow-cap"),
+        pytest.param(
+            lambda g: check_kcritical_cut_bound(g, 1, sample_limit=2.5), id="sample-limit"
+        ),
+    ],
+)
+def test_bad_int_parameters_raise_input_error(call):
+    # each of these raised a bare TypeError or was accepted, k: 1.5 included;
+    # max_flow with cap 1.5 reported a "min cut" whose side held Y
+    with pytest.raises(InputError):
+        call(gen_random(8, 20, 1, True))
 
 
 def test_cycle_edges_critical_with_empty_faults():

@@ -6,13 +6,26 @@ Examples are derandomized, so every run checks the same fixed set.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sccpreserve.digraph import DiGraph
+from sccpreserve.digraph import DiGraph, mask_to_set
 from sccpreserve.expander import HierarchyParams, build_hierarchy, giant_component_check
+from sccpreserve.flowcut import (
+    bind,
+    boundary_edges,
+    canonicalize_in_reachable,
+    canonicalize_out_reachable,
+    make_cut,
+)
+from sccpreserve.impcut import enumerate_important_cuts
 from sccpreserve.variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
 from sccpreserve.verify import verify_bounded_degree_witness, verify_color_witness
 
 from conftest import variant_checks
-from oracles import fault_sets_ref, scc_sets_ref, strongly_connected_pair_ref
+from oracles import (
+    fault_sets_ref,
+    reachable_cut_ref,
+    scc_sets_ref,
+    strongly_connected_pair_ref,
+)
 
 PROPERTY = settings(
     derandomize=True,
@@ -161,3 +174,48 @@ def test_hierarchy_pieces_match_reference_walk(g):
             assert {piece.to_parent[j] for j in piece.local_terminals} == piece.terminals
         else:
             assert piece.graph is None
+
+
+def _terminal_pair(g, data):
+    """Two distinct vertices of g, drawn as (x, y)."""
+    x = data.draw(st.integers(0, g.n - 1))
+    y = data.draw(st.integers(0, g.n - 2))
+    return x, y + (y >= x)
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.data())
+def test_canonicalizers_match_reference(g, data):
+    # each vertex is in X, in Y, on the side only, or outside it
+    labels = data.draw(st.lists(st.sampled_from("xyso"), min_size=g.n, max_size=g.n))
+    x, y = _terminal_pair(g, data)
+    labels[x], labels[y] = "x", "y"
+    X = {v for v in range(g.n) if labels[v] == "x"}
+    Y = {v for v in range(g.n) if labels[v] == "y"}
+    side = X | {v for v in range(g.n) if labels[v] == "s"}
+    for direction, canonicalize in (
+        ("out", canonicalize_out_reachable),
+        ("in", canonicalize_in_reachable),
+    ):
+        cut = canonicalize(g, make_cut(g, side, direction), X, Y)
+        assert cut.direction == direction
+        assert (cut.side, cut.boundary) == reachable_cut_ref(g, side, X, direction)
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.data(), st.integers(0, 3))
+def test_in_important_cuts_match_reversed_graph(g, data, k):
+    # the reference is the detour through a reversed graph: its out-cuts,
+    # with their in-boundaries read in g
+    x, y = _terminal_pair(g, data)
+    rev = enumerate_important_cuts(g.reverse(), [x], [y], k, "out")
+    want = tuple(make_cut(g, c.side, "in") for c in rev)
+    assert enumerate_important_cuts(g, [x], [y], k, "in") == want
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.data())
+def test_boundary_heads_count_boundary_edges(g, data):
+    mask = data.draw(st.integers(0, (1 << g.n) - 1))
+    want = len(boundary_edges(g, mask_to_set(mask)))
+    assert len(bind(g).boundary_heads(mask)) == want
