@@ -135,7 +135,7 @@ def _cmd_build(args) -> int:
     elif args.algo == "fpt":
         if args.variant != "all-pairs":
             raise InputError("--algo fpt builds all-pairs preservers")
-        result = fpt.fpt_preserver(g, args.k, args.seed, args.stop_threshold)
+        result = fpt.fpt_preserver(g, args.k, args.seed)
     else:
         raise InputError(f"unknown algo {args.algo}")
     elapsed = time.perf_counter() - started
@@ -376,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--source", type=int)
     build.add_argument("--target", type=int)
     build.add_argument("--sources", help="comma-separated vertex list")
-    build.add_argument("--stop-threshold", type=int)
     build.add_argument("--demand-pairs", action="store_true")
     build.add_argument("--json", action="store_true")
     build.set_defaults(func=_cmd_build)

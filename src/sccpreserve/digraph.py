@@ -38,21 +38,22 @@ class DiGraph:
     __slots__ = ("n", "edges", "_by_id", "_key", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple] = (), *, _records=None):
+        # ``_records``: Edge records in strictly ascending id order, as every
+        # surgery method passes them (it filters or maps self.edges in order)
         require_int("vertex count", n, 0)
         object.__setattr__(self, "n", n)
-        if _records is None:
-            records = _edge_records(edges, 0)
-        else:
-            records = sorted(_records, key=lambda e: e.id)
+        records = _edge_records(edges, 0) if _records is None else _records
         by_id = {}
+        last = None
         for e in records:
             if not (0 <= e.tail < n and 0 <= e.head < n):
                 raise InputError(f"edge {e.id} endpoint out of range: {e}")
             if e.color is not None and e.color < 0:
                 raise InputError(f"edge {e.id} has negative color")
-            if e.id in by_id:
-                raise InputError(f"duplicate edge id {e.id}")
+            if last is not None and e.id <= last:
+                raise InputError(f"edge ids must strictly ascend: {e.id} after {last}")
             by_id[e.id] = e
+            last = e.id
         object.__setattr__(self, "edges", tuple(records))
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_key", None)

@@ -346,11 +346,14 @@ def build_hierarchy(
     heuristic sparse cuts, drawn from one rng seeded with 0 so that a
     build is deterministic, and clear ``exact``.
 
-    The pieces come from one walk, one ``induced`` and one ``scc`` per
-    prefix V_1 .. V_i.  A piece graph is induced from the prefix graph, with
-    the two vertex maps composed, and equals ``g.induced(component)``: the
-    prefix graph keeps every edge of g between prefix vertices with its id
-    and color, and its ``to_parent`` is ascending, so the component's
+    The levels come from a recursion on strongly connected graphs: g is
+    split into SCCs once, and each node's rest graph (its vertices minus its
+    top level) is split again for its children.  Every graph in it, and
+    every piece graph of the walk over the prefixes V_1 .. V_i (one
+    ``induced`` and one ``scc`` each), is induced from its parent's graph
+    with the two vertex maps composed, and equals ``g.induced`` of its
+    vertices: the parent graph keeps every edge of g between its vertices
+    with its id and color, and its ``to_parent`` is ascending, so the
     vertices rank the same in both.  With ``verify_certificates`` each
     piece's terminals go through the unbreakability oracle (desk-scale
     only).
@@ -359,30 +362,23 @@ def build_hierarchy(
     rng = random.Random(0)
     state = {"exact": True}
 
-    def build(vertex_set: frozenset) -> list[set]:
-        if not vertex_set:
-            return []
-        sub, to_parent = g.induced(vertex_set)
-        part = scc(sub)
-        if len(part.components) > 1:
-            stacks = [
-                build(frozenset(to_parent[v] for v in comp))
-                for comp in part.components
-            ]
-            return _merge_bottom(stacks)
+    def split(sub: DiGraph, to_parent: tuple) -> list[set]:
+        stacks = []
+        for comp in scc(sub).components:
+            piece, local = sub.induced(comp)
+            stacks.append(build(piece, tuple(to_parent[v] for v in local)))
+        return _merge_bottom(stacks)
+
+    def build(sub: DiGraph, to_parent: tuple) -> list[set]:
+        # sub is strongly connected: one SCC of its caller's graph
         local_top = _expanding_terminals(sub, params, cut_cap, rng, state)
         top = {to_parent[v] for v in local_top}
-        rest = frozenset(vertex_set) - top
-        if not rest:
+        if len(local_top) == sub.n:
             return [top]
-        rsub, r_to_parent = g.induced(rest)
-        stacks = [
-            build(frozenset(r_to_parent[v] for v in comp))
-            for comp in scc(rsub).components
-        ]
-        return _merge_bottom(stacks) + [top]
+        rsub, r_local = sub.induced(set(range(sub.n)) - local_top)
+        return split(rsub, tuple(to_parent[v] for v in r_local)) + [top]
 
-    level_sets = build(frozenset(range(g.n)))
+    level_sets = split(g, tuple(range(g.n)))
     levels = tuple(frozenset(s) for s in level_sets)
     pieces = []
     prefix: set = set()

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from sccpreserve.digraph import DiGraph, parse, reach_mask, scc, serialize, shortest_path
+from sccpreserve.digraph import (
+    DiGraph, Edge, parse, reach_mask, scc, serialize, shortest_path,
+)
 from sccpreserve.errors import InputError
 from sccpreserve.families import gen_random
 
@@ -152,6 +154,14 @@ def test_bad_edge_spec_is_input_error(spec):
         DiGraph(2, [spec])
     with pytest.raises(InputError):
         DiGraph(2, [(0, 1)]).add_edges([spec])
+
+
+@pytest.mark.parametrize("ids", [(1, 0, 2), (0, 2, 2), (3, 3)])
+def test_records_out_of_order_or_repeated_are_input_error(ids):
+    # derived graphs pass their records in ascending id order, never sorted
+    records = [Edge(eid, 0, 1) for eid in ids]
+    with pytest.raises(InputError, match="strictly ascend"):
+        DiGraph(2, _records=records)
 
 
 def test_pickle_and_deepcopy_round_trip():

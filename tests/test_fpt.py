@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -15,6 +17,7 @@ from sccpreserve.fpt import (
     fpt_preserver,
     sample_count,
 )
+from sccpreserve.impcut import important_cut_container
 from sccpreserve.preservers import sscp
 from sccpreserve.variants import VariantSpec
 from sccpreserve.verify import enumerate_critical_edges, verify_ft
@@ -55,6 +58,43 @@ def test_container_report_fields():
     for q_set in report.sampled_sets:
         assert len(q_set) == 3
         assert q_set <= frozenset(range(4))
+
+
+@dataclass
+class KeyCountingCache(FptCache):
+    """FptCache that counts how often each container key is asked."""
+
+    asked: Counter = field(default_factory=Counter)
+
+    def container_side(self, g, x, y_set, k, direction):
+        self.asked[(g, x, y_set, k, direction)] += 1
+        return super().container_side(g, x, y_set, k, direction)
+
+
+def test_container_builds_each_key_once_per_call():
+    # lam = 98 draws of 3 of 7 terminals repeat; each distinct key is asked once
+    q, _ = container_params(7, 1)
+    for graph_seed in range(40, 50):
+        g = gen_random(7, 16, graph_seed, ensure_strongly_connected=True)
+        cache = KeyCountingCache()
+        report = critical_edge_container(g, range(7), q, 1, seed=graph_seed, cache=cache)
+        assert len(set(report.sampled_sets)) < len(report.sampled_sets)
+        assert max(cache.asked.values()) == 1
+
+
+def test_container_terminals_union_every_draw():
+    # the terminal sets equal unions over all lam draws, repeats included
+    q, _ = container_params(6, 1)
+    for graph_seed in range(3):
+        g = gen_random(6, 13, 60 + graph_seed, ensure_strongly_connected=True)
+        report = critical_edge_container(g, range(6), q, 1, seed=graph_seed)
+        for v in range(g.n):
+            side = set()
+            for q_set in report.sampled_sets:
+                if v not in q_set:
+                    for direction in ("out", "in"):
+                        side |= important_cut_container(g, [v], q_set, 1, direction).side
+            assert report.per_vertex_terminals[v] == frozenset(side)
 
 
 def test_container_small_terminal_sets_degenerate():
@@ -111,14 +151,6 @@ def test_fpt_preserver_verified_k4():
     res = fpt_preserver(g, 1, seed=4)
     assert len(res.kept_edges) <= g.m
     assert verify_ft(g, res.kept_edges, VariantSpec.all_pairs(), 1).ok
-
-
-def test_fpt_preserver_threshold_zero_runs_to_fixpoint():
-    g = bidirected_k4()
-    a = fpt_preserver(g, 1, seed=9, stop_threshold=0)
-    b = fpt_preserver(g, 1, seed=9)
-    assert a.kept_edges == b.kept_edges
-    assert verify_ft(g, a.kept_edges, VariantSpec.all_pairs(), 1).ok
 
 
 def test_fpt_preserver_deterministic():

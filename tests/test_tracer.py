@@ -2,12 +2,21 @@
 
 ``perfbench/tracer.py`` wraps every name in ``TARGETS`` by looking it up,
 so deleting or renaming one of them breaks every traced benchmark run.
-This test makes that mistake fail here instead.
+Its ``RESULT_HOOKS`` read fields of the results those targets return, so
+deleting a field they read breaks it too.  These tests make both mistakes
+fail here instead.
 """
 
 import importlib
 import importlib.util
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
+
+from sccpreserve.expander import HierarchyParams
+from sccpreserve.variants import VariantSpec
+
+from conftest import bidirected_k4
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -34,3 +43,24 @@ def test_tracer_targets_resolve():
         # a site is wrapped only where the module imported the target itself
         module = importlib.import_module(f"{tracer.PKG}.{home}")
         assert getattr(module, attr, None) is originals[attr], (home, attr)
+
+
+# span name -> arguments after the graph, for a call on a tiny graph
+HOOK_CALLS = {
+    "preservers.greedy": (VariantSpec.all_pairs(), 1),
+    "kconn.greedy": (1,),
+    "fpt.preserver": (1, 0),
+    "expander.build_hierarchy": (HierarchyParams(q=2, k=1, phi=Fraction(1, 2)),),
+}
+
+
+def test_tracer_result_hooks_read_real_results():
+    tracer = _load_tracer()
+    assert set(tracer.RESULT_HOOKS) == set(HOOK_CALLS)
+    homes = {name: (home, attr) for _, home, attr, name, _ in tracer.TARGETS}
+    for name, hook in tracer.RESULT_HOOKS.items():
+        home, attr = homes[name]
+        target = getattr(importlib.import_module(f"{tracer.PKG}.{home}"), attr)
+        stats = Counter()
+        hook(stats, target(bidirected_k4(), *HOOK_CALLS[name]))
+        assert stats, name
