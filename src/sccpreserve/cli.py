@@ -5,15 +5,20 @@ error, 3 capability (enumeration limit) error.  Human-readable summaries go
 to stderr; with --json a machine-readable report goes to stdout.  Build
 reports are deterministic byte-for-byte given the same inputs and seed, so
 timing lives only in the stderr summary.
+
+The parser is built once per process, on the first ``main`` call, and every
+later call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
+from typing import NamedTuple
 
 from . import digraph, families, fpt, kconn, preservers, verify
 from .errors import CapabilityError, InputError
@@ -24,14 +29,19 @@ from .variants import VariantSpec
 _VARIANTS = ("all-pairs", "single-source", "st", "global", "sourcewise", "kconn")
 
 
+class _Report(NamedTuple):
+    """What a subcommand did: its --json fields below the header, its stderr
+    summary (None prints none) and its exit code.  ``graph`` is the graph
+    ``input_hash`` names when the command made it instead of reading it."""
+
+    fields: dict
+    summary: str | None
+    code: int = 0
+    graph: digraph.DiGraph | None = None
+
+
 def _graph_hash(g) -> str:
     return hashlib.sha256(digraph.serialize(g).encode("ascii")).hexdigest()
-
-
-def _emit(args, payload: dict, summary: str) -> None:
-    print(summary, file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
 
 
 def _load_graph(path: str):
@@ -41,7 +51,7 @@ def _load_graph(path: str):
         raise InputError(f"cannot read graph file: {exc}") from None
 
 
-def _spec_from_args(g, args) -> VariantSpec:
+def _spec_from_args(args) -> VariantSpec:
     variant = args.variant
     if variant == "all-pairs":
         return VariantSpec.all_pairs()
@@ -56,9 +66,10 @@ def _spec_from_args(g, args) -> VariantSpec:
     if variant == "global":
         return VariantSpec.global_()
     if variant == "sourcewise":
-        if not args.sources:
+        sources = _int_list(args.sources or "")
+        if not sources:
             raise InputError("--sources required for sourcewise")
-        return VariantSpec.sourcewise(_int_list(args.sources))
+        return VariantSpec.sourcewise(sources)
     raise InputError(f"variant {variant} has no fault-tolerant spec")
 
 
@@ -70,9 +81,11 @@ def _int_list(text: str) -> list[int]:
 
 
 # -- subcommands -------------------------------------------------------------
+# Each takes the parsed arguments and, for the --graph commands, the loaded
+# graph; ``_run`` writes the report header and prints.
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, _) -> _Report:
     if args.family == "random":
         g = families.gen_random(args.n, args.m, args.seed, args.ensure_scc)
         meta = {"family": "random", "n": args.n, "m": args.m, "seed": args.seed,
@@ -95,17 +108,8 @@ def _cmd_gen(args) -> int:
             fh.write("\n")
     except OSError as exc:
         raise InputError(f"cannot write output: {exc}") from None
-    payload = {
-        "command": "gen",
-        "family": args.family,
-        "n": g.n,
-        "m": g.m,
-        "out": args.out,
-        "meta": meta_path,
-        "input_hash": _graph_hash(g),
-    }
-    _emit(args, payload, f"gen {args.family}: n={g.n} m={g.m} -> {args.out}")
-    return 0
+    fields = {"family": args.family, "n": g.n, "m": g.m, "out": args.out, "meta": meta_path}
+    return _Report(fields, f"gen {args.family}: n={g.n} m={g.m} -> {args.out}", graph=g)
 
 
 def _jsonable(value):
@@ -119,15 +123,14 @@ def _jsonable(value):
     return value
 
 
-def _cmd_build(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_build(args, g) -> _Report:
     started = time.perf_counter()
     if args.variant == "kconn":
         if args.algo not in ("greedy",):
             raise InputError("kconn supports only --algo greedy")
         result = kconn.greedy_kconn_preserver(g, args.k, args.demand_pairs)
     elif args.algo == "greedy":
-        result = preservers.greedy_preserver(g, _spec_from_args(g, args), args.k)
+        result = preservers.greedy_preserver(g, _spec_from_args(args), args.k)
     elif args.algo == "hierarchy":
         if args.variant != "all-pairs":
             raise InputError("--algo hierarchy builds all-pairs preservers")
@@ -139,9 +142,7 @@ def _cmd_build(args) -> int:
     else:
         raise InputError(f"unknown algo {args.algo}")
     elapsed = time.perf_counter() - started
-    payload = {
-        "command": "build",
-        "input_hash": _graph_hash(g),
+    fields = {
         "variant": args.variant,
         "algo": args.algo,
         "k": args.k,
@@ -153,13 +154,11 @@ def _cmd_build(args) -> int:
         "stats": _jsonable(result.stats),
         "provenance": result.provenance,
     }
-    _emit(
-        args,
-        payload,
+    return _Report(
+        fields,
         f"build {args.variant}/{args.algo} k={args.k}: kept "
         f"{len(result.kept_edges)}/{g.m} edges in {elapsed:.2f}s",
     )
-    return 0
 
 
 def _load_preserver(path: str) -> list[int]:
@@ -177,8 +176,7 @@ def _load_preserver(path: str) -> list[int]:
     return data
 
 
-def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_verify(args, g) -> _Report:
     kept = _load_preserver(args.preserver)
     started = time.perf_counter()
     if args.variant == "kconn":
@@ -193,12 +191,9 @@ def _cmd_verify(args) -> int:
         ok = verify.verify_ft_by_cuts(g, kept, args.k)
         result = verify.VerifyResult(ok=ok)
     else:
-        spec = _spec_from_args(g, args)
-        result = verify.verify_ft(g, kept, spec, args.k)
+        result = verify.verify_ft(g, kept, _spec_from_args(args), args.k)
     elapsed = time.perf_counter() - started
-    payload = {
-        "command": "verify",
-        "input_hash": _graph_hash(g),
+    fields = {
         "variant": args.variant,
         "k": args.k,
         "by_cuts": args.by_cuts,
@@ -206,24 +201,23 @@ def _cmd_verify(args) -> int:
         "counterexample": None,
     }
     if result.counterexample is not None:
-        payload["counterexample"] = {
+        fields["counterexample"] = {
             "pair": list(result.counterexample.pair)
             if result.counterexample.pair is not None
             else None,
             "faults": sorted(result.counterexample.faults),
         }
     verdict = "OK" if result.ok else "FAIL"
-    _emit(args, payload, f"verify {args.variant} k={args.k}: {verdict} ({elapsed:.2f}s)")
-    return 0 if result.ok else 1
+    return _Report(
+        fields, f"verify {args.variant} k={args.k}: {verdict} ({elapsed:.2f}s)",
+        0 if result.ok else 1,
+    )
 
 
-def _cmd_hierarchy(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_hierarchy(args, g) -> _Report:
     params = HierarchyParams(q=args.q, k=args.k, phi=args.phi)
     hierarchy = build_hierarchy(g, params, verify_certificates=not args.no_verify)
-    payload = {
-        "command": "hierarchy",
-        "input_hash": _graph_hash(g),
+    fields = {
         "q": args.q,
         "k": args.k,
         "phi": args.phi,
@@ -239,17 +233,13 @@ def _cmd_hierarchy(args) -> int:
             for c in hierarchy.certificates
         ],
     }
-    _emit(args, payload, f"hierarchy: {hierarchy.depth} levels over n={g.n}")
-    return 0
+    return _Report(fields, f"hierarchy: {hierarchy.depth} levels over n={g.n}")
 
 
-def _cmd_decompose(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_decompose(args, g) -> _Report:
     q = args.q if args.q is not None else kconn.default_part_size(g.n, args.k)
     deco = kconn.unbreakability_decomposition(g, q, args.k)
-    payload = {
-        "command": "decompose",
-        "input_hash": _graph_hash(g),
+    fields = {
         "q": q,
         "k": args.k,
         "parts": [sorted(part) for part in deco.parts],
@@ -258,19 +248,15 @@ def _cmd_decompose(args) -> int:
             for c in deco.cuts
         ],
     }
-    _emit(args, payload, f"decompose q={q} k={args.k}: {len(deco.parts)} parts, "
-          f"{len(deco.cuts)} cuts")
-    return 0
+    return _Report(fields, f"decompose q={q} k={args.k}: {len(deco.parts)} parts, "
+                   f"{len(deco.cuts)} cuts")
 
 
-def _cmd_impcut(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_impcut(args, g) -> _Report:
     res = important_cut_container(
         g, _int_list(args.x), _int_list(args.y), args.k, args.dir
     )
-    payload = {
-        "command": "impcut",
-        "input_hash": _graph_hash(g),
+    fields = {
         "k": args.k,
         "dir": args.dir,
         "status": res.status,
@@ -278,28 +264,17 @@ def _cmd_impcut(args) -> int:
         "side": sorted(res.side),
         "boundary": sorted(res.boundary),
     }
-    _emit(
-        args,
-        payload,
+    return _Report(
+        fields,
         f"impcut k={args.k} dir={args.dir}: {res.status}, boundary "
         f"{len(res.boundary)}",
     )
-    return 0
 
 
-def _cmd_critical(args) -> int:
-    g = _load_graph(args.graph)
-    spec = _spec_from_args(g, args)
-    critical = verify.enumerate_critical_edges(g, spec, args.k)
-    payload = {
-        "command": "critical",
-        "input_hash": _graph_hash(g),
-        "variant": args.variant,
-        "k": args.k,
-        "critical_edges": sorted(critical),
-    }
-    _emit(args, payload, f"critical {args.variant} k={args.k}: {len(critical)} edges")
-    return 0
+def _cmd_critical(args, g) -> _Report:
+    critical = verify.enumerate_critical_edges(g, _spec_from_args(args), args.k)
+    fields = {"variant": args.variant, "k": args.k, "critical_edges": sorted(critical)}
+    return _Report(fields, f"critical {args.variant} k={args.k}: {len(critical)} edges")
 
 
 _BENCH_CORPUS = (
@@ -312,7 +287,9 @@ _BENCH_CORPUS = (
 )
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, _) -> _Report:
+    if args.max_k < 1:
+        raise InputError(f"--max-k must be at least 1, got {args.max_k}")
     rows = []
     for name, maker in _BENCH_CORPUS:
         g = maker()
@@ -336,22 +313,44 @@ def _cmd_bench(args) -> int:
                 f"all-pairs={row['all_pairs']:3d}  kconn={row['kconn']:3d}  (m={g.m})",
                 file=sys.stderr,
             )
-    if args.json:
-        print(json.dumps({"command": "bench", "rows": rows}, sort_keys=True))
-    return 0
+    return _Report({"rows": rows}, None)
 
 
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+@functools.cache
+def parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after.
+
+    Sharing is safe: a parse writes only to the new namespace it returns,
+    and every default is None, an int, a str, False or a handler, none of
+    which a parse can change.  Each flag that several commands share is
+    declared once, on a parent parser.
+    """
+    top = argparse.ArgumentParser(
         prog="scc-preserve",
         description="Fault-tolerant strong-connectivity preserver toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a graph family instance")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true")
+    on_graph = argparse.ArgumentParser(add_help=False, parents=[report])
+    on_graph.add_argument("--graph", required=True)
+    on_graph.add_argument("-k", type=int, required=True)
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument("--variant", choices=_VARIANTS, default="all-pairs")
+    variant.add_argument("--source", type=int)
+    variant.add_argument("--target", type=int)
+    variant.add_argument("--sources", help="comma-separated vertex list")
+
+    def command(name, func, help, *parents):
+        cmd = sub.add_parser(name, help=help, parents=parents)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    gen = command("gen", _cmd_gen, "generate a graph family instance", report)
     gen.add_argument("family", choices=("baswana", "st-lower", "bounded-degree",
                                         "color", "random"))
     gen.add_argument("-o", "--out", required=True)
@@ -363,84 +362,61 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, default=16)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--ensure-scc", action="store_true")
-    gen.add_argument("--json", action="store_true")
-    gen.set_defaults(func=_cmd_gen)
 
-    build = sub.add_parser("build", help="construct a preserver")
-    build.add_argument("--graph", required=True)
-    build.add_argument("--variant", choices=_VARIANTS, default="all-pairs")
+    build = command("build", _cmd_build, "construct a preserver", on_graph, variant)
     build.add_argument("--algo", choices=("greedy", "hierarchy", "fpt"),
                        default="greedy")
-    build.add_argument("-k", type=int, required=True)
     build.add_argument("--seed", type=int, default=0)
-    build.add_argument("--source", type=int)
-    build.add_argument("--target", type=int)
-    build.add_argument("--sources", help="comma-separated vertex list")
     build.add_argument("--demand-pairs", action="store_true")
-    build.add_argument("--json", action="store_true")
-    build.set_defaults(func=_cmd_build)
 
-    ver = sub.add_parser("verify", help="exhaustively verify a preserver")
-    ver.add_argument("--graph", required=True)
+    ver = command("verify", _cmd_verify, "exhaustively verify a preserver",
+                  on_graph, variant)
     ver.add_argument("--preserver", required=True,
                      help="JSON file with a kept_edges list (build output works)")
-    ver.add_argument("--variant", choices=_VARIANTS, default="all-pairs")
-    ver.add_argument("-k", type=int, required=True)
     ver.add_argument("--by-cuts", action="store_true")
-    ver.add_argument("--source", type=int)
-    ver.add_argument("--target", type=int)
-    ver.add_argument("--sources")
-    ver.add_argument("--json", action="store_true")
-    ver.set_defaults(func=_cmd_verify)
 
-    hier = sub.add_parser("hierarchy", help="build a directed expander hierarchy")
-    hier.add_argument("--graph", required=True)
+    hier = command("hierarchy", _cmd_hierarchy, "build a directed expander hierarchy",
+                   on_graph)
     hier.add_argument("-q", type=int, required=True)
-    hier.add_argument("-k", type=int, required=True)
     hier.add_argument("--phi", default="1/2")
     hier.add_argument("--no-verify", action="store_true")
-    hier.add_argument("--json", action="store_true")
-    hier.set_defaults(func=_cmd_hierarchy)
 
-    deco = sub.add_parser("decompose", help="two-level unbreakability decomposition")
-    deco.add_argument("--graph", required=True)
+    deco = command("decompose", _cmd_decompose, "two-level unbreakability decomposition",
+                   on_graph)
     deco.add_argument("-q", type=int)
-    deco.add_argument("-k", type=int, required=True)
-    deco.add_argument("--json", action="store_true")
-    deco.set_defaults(func=_cmd_decompose)
 
-    imp = sub.add_parser("impcut", help="important-cut container")
-    imp.add_argument("--graph", required=True)
+    imp = command("impcut", _cmd_impcut, "important-cut container", on_graph)
     imp.add_argument("-x", required=True, help="comma-separated source vertices")
     imp.add_argument("-y", required=True, help="comma-separated sink vertices")
-    imp.add_argument("-k", type=int, required=True)
     imp.add_argument("--dir", choices=("out", "in"), default="out")
-    imp.add_argument("--json", action="store_true")
-    imp.set_defaults(func=_cmd_impcut)
 
-    crit = sub.add_parser("critical", help="enumerate k-fault critical edges")
-    crit.add_argument("--graph", required=True)
-    crit.add_argument("--variant", choices=_VARIANTS[:-1], default="all-pairs")
-    crit.add_argument("-k", type=int, required=True)
-    crit.add_argument("--source", type=int)
-    crit.add_argument("--target", type=int)
-    crit.add_argument("--sources")
-    crit.add_argument("--json", action="store_true")
-    crit.set_defaults(func=_cmd_critical)
+    command("critical", _cmd_critical, "enumerate k-fault critical edges", on_graph, variant)
 
-    bench = sub.add_parser("bench", help="size table over the fixed corpora")
+    bench = command("bench", _cmd_bench, "size table over the fixed corpora", report)
     bench.add_argument("--max-k", type=int, default=2)
-    bench.add_argument("--json", action="store_true")
-    bench.set_defaults(func=_cmd_bench)
 
-    return parser
+    return top
+
+
+def _run(args) -> int:
+    """Run the subcommand, then print its summary and its --json report."""
+    g = _load_graph(args.graph) if "graph" in args else None
+    report = args.func(args, g)
+    header = {"command": args.command}
+    hashed = g if g is not None else report.graph
+    if hashed is not None:
+        header["input_hash"] = _graph_hash(hashed)
+    if report.summary is not None:
+        print(report.summary, file=sys.stderr)
+    if args.json:
+        print(json.dumps({**report.fields, **header}, sort_keys=True))
+    return report.code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -285,6 +285,11 @@ class FlowView:
             return 0
         return self._flow(1 << t, 1 << s, forward)[0]
 
+    def symmetric_pairs(self, k: int) -> list[tuple[int, int, int]]:
+        """(u, v, symmetric(u, v, k)) for every pair u < v, in row-major order."""
+        n = self.n
+        return [(u, v, self.symmetric(u, v, k)) for u in range(n) for v in range(u + 1, n)]
+
 
 def bind(g: DiGraph, reverse: bool = False) -> FlowView:
     """The :class:`FlowView` of g, or of its reverse with ``reverse=True``."""

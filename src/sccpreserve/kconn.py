@@ -24,7 +24,6 @@ from .preservers import PreserverResult
 @dataclass(frozen=True)
 class DemandPairs:
     pairs: tuple[tuple[int, int, int], ...]  # (u, v, clamped lambda)
-    tree_edges: tuple[tuple[int, int], ...]
 
     def path_min(self, u: int, v: int) -> int:
         """min pair-weight along the unique tree path from u to v."""
@@ -56,14 +55,7 @@ def demand_pairs(g: DiGraph, k: int) -> DemandPairs:
     """
     require_int("k", k, 0)
     n = g.n
-    if n <= 1:
-        return DemandPairs(pairs=(), tree_edges=())
-    view = bind(g)
-    weighted = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            weighted.append((-view.symmetric(u, v, k), u, v))
-    weighted.sort()
+    weighted = sorted((-lam, u, v) for u, v, lam in bind(g).symmetric_pairs(k))
     parent = list(range(n))
 
     def find(x):
@@ -80,9 +72,7 @@ def demand_pairs(g: DiGraph, k: int) -> DemandPairs:
             pairs.append((u, v, -neg_w))
         if len(pairs) == n - 1:
             break
-    return DemandPairs(
-        pairs=tuple(pairs), tree_edges=tuple((u, v) for u, v, _ in pairs)
-    )
+    return DemandPairs(pairs=tuple(pairs))
 
 
 def _preserves_pairs(probe: FlowView, targets) -> bool:
@@ -128,13 +118,7 @@ def greedy_kconn_preserver(
     if use_demand_pairs:
         targets = demand_pairs(g, k).pairs
     else:
-        view = bind(g)
-        targets = []
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                lam = view.symmetric(u, v, k)
-                if lam:
-                    targets.append((u, v, lam))
+        targets = bind(g).symmetric_pairs(k)
     for e in g.edges:
         if e.tail != e.head:
             oracle_calls += 1

@@ -68,18 +68,12 @@ def verify_kconn(g: DiGraph, kept_edges, k: int) -> VerifyResult:
     """Check that H preserves min(lambda, k) for every vertex pair."""
     require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
-    view_g = bind(g)
     view_h = bind(g.restrict_to(kept))
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            want = view_g.symmetric(s, t, k)
-            if want == 0:
-                continue
-            got = view_h.symmetric(s, t, k)
-            if got != want:
-                return VerifyResult(
-                    ok=False, counterexample=Counterexample(pair=(s, t), faults=frozenset())
-                )
+    for s, t, want in bind(g).symmetric_pairs(k):
+        if want and view_h.symmetric(s, t, k) != want:
+            return VerifyResult(
+                ok=False, counterexample=Counterexample(pair=(s, t), faults=frozenset())
+            )
     return VerifyResult(ok=True)
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from sccpreserve import cli
 from sccpreserve.cli import main
 from sccpreserve.digraph import dump, load
 from sccpreserve.families import gen_random
@@ -172,9 +176,19 @@ def test_hierarchy_phi_too_large_is_input_error(tmp_path, capsys):
         ("verify", "--graph", "{bad}", "--preserver", "{p}", "-k", "1"),
         ("verify", "--graph", "{g}", "--preserver", "{bad}", "-k", "1"),
         ("gen", "random", "-o", "{missing}"),
+        ("bench", "--max-k", "0"),
+        ("bench", "--max-k", "-1"),
+        ("build", "--graph", "{g}", "--variant", "sourcewise", "--sources", ",", "-k", "1"),
+        ("verify", "--graph", "{g}", "--preserver", "{p}", "--variant", "sourcewise",
+         "--sources", ",", "-k", "1"),
+        ("critical", "--graph", "{g}", "--variant", "sourcewise", "--sources", ",",
+         "-k", "1"),
+        ("critical", "--graph", "{g}", "--variant", "kconn", "-k", "1"),
     ],
     ids=["phi-text", "phi-zero-denominator", "build-non-ascii-graph",
-         "verify-non-ascii-graph", "verify-non-ascii-preserver", "gen-missing-dir"],
+         "verify-non-ascii-graph", "verify-non-ascii-preserver", "gen-missing-dir",
+         "bench-max-k-zero", "bench-max-k-negative", "build-no-sources",
+         "verify-no-sources", "critical-no-sources", "critical-kconn"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     paths = {
@@ -336,3 +350,63 @@ def test_bench_runs(capsys):
     rows = json.loads(out)["rows"]
     assert rows and all("all_pairs" in row for row in rows)
     assert "k=1" in err
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    gpath = str(tmp_path / "g.txt")
+    dump(gen_random(6, 13, 6, ensure_strongly_connected=True), gpath)
+    ppath = str(tmp_path / "p.json")
+    (tmp_path / "p.json").write_text(json.dumps(list(range(13))))
+    verify = ("verify", "--graph", gpath, "--preserver", ppath, "-k", "1", "--json")
+    calls = [
+        ("build", "--graph", gpath, "--variant", "kconn", "--demand-pairs", "-k", "1",
+         "--json"),
+        ("build", "--graph", gpath, "--variant", "kconn", "-k", "1", "--json"),
+        (*verify, "--by-cuts"),
+        verify,
+        ("build", "--graph", gpath, "--variant", "sourcewise", "--sources", "0,2",
+         "-k", "1", "--json"),
+        ("build", "--graph", gpath, "--variant", "single-source", "--source", "1",
+         "-k", "1", "--json"),
+        ("build", "--graph", gpath, "-k", "1", "--json"),
+        ("critical", "--graph", gpath, "--variant", "sourcewise", "--sources", "3",
+         "-k", "1", "--json"),
+        ("critical", "--graph", gpath, "-k", "1", "--json"),
+    ]
+    # Each call made first, on a parser that nothing has parsed with yet.
+    first = []
+    for argv in calls:
+        cli.parser.cache_clear()
+        first.append(run_cli(capsys, *argv)[:2])
+    assert all(code == 0 and out for code, out in first)
+    cli.parser.cache_clear()
+    for order in (calls, calls[::-1], calls):
+        for argv in order:
+            assert run_cli(capsys, *argv)[:2] == first[calls.index(argv)], argv
+    assert cli.parser.cache_info().misses == 1  # one construction for all 27 calls
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import sccpreserve.cli as cli; "
+        "assert cli.parser.cache_info().misses == 0; "
+        "cli.main(['bench', '--max-k', '0']); "
+        "assert cli.parser.cache_info().misses == 1"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["gen", "build", "verify", "hierarchy", "decompose", "impcut", "critical", "bench"],
+)
+def test_help_after_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--variant", "nope"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: scc-preserve {command}")
