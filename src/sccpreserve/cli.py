@@ -26,7 +26,15 @@ from .expander import HierarchyParams, build_hierarchy
 from .impcut import important_cut_container
 from .variants import VariantSpec
 
-_VARIANTS = ("all-pairs", "single-source", "st", "global", "sourcewise", "kconn")
+# Each --variant and the vertex flags it reads; giving another is an error.
+_VARIANT_FLAGS = {
+    "all-pairs": (),
+    "single-source": ("source",),
+    "st": ("source", "target"),
+    "global": (),
+    "sourcewise": ("sources",),
+    "kconn": (),
+}
 
 
 class _Report(NamedTuple):
@@ -71,6 +79,14 @@ def _spec_from_args(args) -> VariantSpec:
             raise InputError("--sources required for sourcewise")
         return VariantSpec.sourcewise(sources)
     raise InputError(f"variant {variant} has no fault-tolerant spec")
+
+
+def _check_variant_flags(args) -> None:
+    """Refuse the vertex flags that ``--variant`` does not read."""
+    reads = _VARIANT_FLAGS[args.variant]
+    for flag in ("source", "target", "sources"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise InputError(f"--{flag} does not apply to --variant {args.variant}")
 
 
 def _int_list(text: str) -> list[int]:
@@ -124,6 +140,8 @@ def _jsonable(value):
 
 
 def _cmd_build(args, g) -> _Report:
+    if args.demand_pairs and args.variant != "kconn":
+        raise InputError("--demand-pairs applies only to --variant kconn")
     started = time.perf_counter()
     if args.variant == "kconn":
         if args.algo not in ("greedy",):
@@ -340,7 +358,7 @@ def parser() -> argparse.ArgumentParser:
     on_graph.add_argument("--graph", required=True)
     on_graph.add_argument("-k", type=int, required=True)
     variant = argparse.ArgumentParser(add_help=False)
-    variant.add_argument("--variant", choices=_VARIANTS, default="all-pairs")
+    variant.add_argument("--variant", choices=tuple(_VARIANT_FLAGS), default="all-pairs")
     variant.add_argument("--source", type=int)
     variant.add_argument("--target", type=int)
     variant.add_argument("--sources", help="comma-separated vertex list")
@@ -400,6 +418,8 @@ def parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     """Run the subcommand, then print its summary and its --json report."""
+    if "variant" in args:
+        _check_variant_flags(args)
     g = _load_graph(args.graph) if "graph" in args else None
     report = args.func(args, g)
     header = {"command": args.command}

@@ -252,6 +252,41 @@ def shortest_path(adj: list[int], start: int, goal: int) -> list[int] | None:
     return path
 
 
+def tree_arcs(adj: list[int], root: int, span: int, goals: int) -> list[tuple]:
+    """Arcs (parent, child) of breadth-first paths from ``root`` to ``goals``.
+
+    The frontier search of :func:`reach_mask` over the arcs inside the
+    ``span`` mask, expanding each frontier vertex in ascending order, so a
+    vertex's parent is the first frontier vertex with an arc to it.  It
+    stops once it has reached every goal it can, and returns the tree arcs
+    on the paths from the root to the goals it reached, children before
+    parents.
+    """
+    arcs = []
+    reached = frontier = 1 << root
+    while frontier and goals & ~reached:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            new = adj[b.bit_length() - 1] & span & ~reached
+            if new:
+                reached |= new
+                nxt |= new
+                v = b.bit_length() - 1
+                while new:
+                    c = new & -new
+                    new ^= c
+                    arcs.append((v, c.bit_length() - 1))
+        frontier = nxt
+    paths = []
+    for arc in reversed(arcs):
+        if goals >> arc[1] & 1:
+            paths.append(arc)
+            goals |= 1 << arc[0]
+    return paths
+
+
 def closure_masks(adj: list[int]) -> list[int]:
     """Reflexive-transitive closure row per vertex."""
     n = len(adj)

@@ -24,21 +24,23 @@ fault copies those masks and clears at most |F| bits.  On top of the view,
 two exact shortcuts skip work.  :meth:`ConnectivityOracle.changed` finds
 the one component that can break and tests the removed edge as a strong
 bridge of it: one shortest-path search from the edge's tail, stopped at its
-head, in place of a new state.  :meth:`ConnectivityOracle.first_counterexample`
-computes the subgraph's state first and skips the graph's when nothing can
-be lost.
+head, in place of a new state.  A verifier computes the subgraph's state
+first and skips the graph's when nothing can be lost.
 
 Fault sets are ordered colexicographically by edge id, which equals
 ascending order of the subset bitmask: the empty set first, then subsets by
 largest member.  Every "first witness" and "first counterexample" in the
-package is defined against this order, and both are found here.
-:meth:`ConnectivityOracle.first_counterexample` (does a subgraph lose a
-protected pair that the graph keeps?) takes one loop over the fault sets
-of :func:`fault_sets_colex`.  :class:`CriticalityScan` (does dropping one
-edge break a protected pair?) searches them best-first instead: a fault set
-that does not break the pair branches only on the hops of the path that
-``changed`` found, and the search still meets the colex-first witness
-first.
+package is defined against this order, and both are found here by the same
+best-first search: a fault set that is not a hit either prunes every
+superset or branches only on the hops of a certificate, and the search
+still meets the colex-first hit first.
+:meth:`ConnectivityOracle.search_counterexample` (does a subgraph lose a
+protected pair that the graph keeps?) certifies with trees of the subgraph
+that carry the graph's edges the subgraph dropped.
+:class:`CriticalityScan` (does dropping one edge break a protected pair?)
+certifies with the path that ``changed`` found.  Fault sets that are not
+edge subsets (color families, bounded-degree matchings) take one loop in
+:meth:`ConnectivityOracle.first_counterexample`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from . import limits
-from .digraph import DiGraph, reach_mask, shortest_path
+from .digraph import DiGraph, reach_mask, shortest_path, tree_arcs
 from .errors import CapabilityError, InputError, require_int
 
 ALL_PAIRS = "all_pairs"
@@ -236,7 +238,10 @@ class ConnectivityOracle:
         Strong connectivity is an equivalence, so a root that lies in an
         earlier root's component has that same component and reuses it.
         """
-        out, inn = self._masks(view, fault)
+        return self._components(*self._masks(view, fault))
+
+    def _components(self, out, inn):
+        """The roots' SCC masks in the graph of ``out``/``inn``."""
         comps = []
         for bit in self.root_bits:
             for comp in comps:
@@ -382,6 +387,10 @@ class ConnectivityOracle:
         component in H - F.  When every root's H - F component already
         covers its protected mask, no fact can be lost and the state of
         g - F is skipped.
+
+        This sweep serves the color-family and bounded-degree verifiers,
+        whose fault sets are not edge subsets in colex order; edge fault
+        sets are searched by :meth:`search_counterexample`.
         """
         view_g = self.bind(self.g.edge_ids())
         view_h = self.bind(kept)
@@ -394,6 +403,120 @@ class ConnectivityOracle:
             state_g = self.state(view_g, fault)
             if self.breaks(state_g, state_h):
                 return item, self.first_broken_pair(state_g, state_h)
+        return None
+
+    def search_counterexample(self, kept, k: int):
+        """Colex-first fault set F of at most k edges of H = g[kept] under
+        which H - F loses a protected fact that g - F keeps.
+
+        Returns ``(fault, pair)`` like :meth:`first_counterexample` over
+        ``fault_sets_colex(kept, k)``, the same hit, or None.  Fault sets
+        are searched best-first, as in :class:`CriticalityScan`: a node is a
+        fault set F, and nodes leave a heap in ascending bitmask order, which
+        is colex order.  A node that is not a counterexample prunes (no
+        superset of it is one) or yields a certificate, a list of hops of
+        H - F; each hop gives one child, F plus the hop's edges, kept when
+        it has at most k edges and was not seen before.
+
+        Lemma: F is a counterexample when some root r and protected p are
+        strongly connected in g - F but not in H - F.  The first condition
+        can only fail as F grows and the second can only start to hold, so
+        every counterexample that contains a node holds a whole hop of the
+        node's certificate, and the :class:`CriticalityScan` lemma carries
+        over: every subset of the colex-first counterexample w is neither a
+        counterexample nor pruned, and the heap pops w first.
+
+        Covered states: H - F is computed first.  When each root's H - F
+        component covers its protected mask, nothing is lost, and unless
+        the spec is ``loose`` (s-t with n > 2) both components are then all
+        of V in g - F too, so g - F's state is the same and is not computed.
+
+        Narrowing: faults lie in E(H), so an edge of g outside H is never
+        faulted.  Let X be the (tail, head) pairs of g joined by a non-loop
+        edge outside H, and C_r root r's component in g - F.  For any
+        F' >= F, if every X-pair inside C_r has a tail-to-head path in
+        H - F', then r keeps its whole g - F' component in H - F': a closed
+        walk of g - F' through r stays inside C_r, and each X-edge on it can
+        be replaced by such a path.  So only a component that holds both
+        ends of some X-pair needs a certificate; when none does, the node
+        prunes.  When H holds every non-loop edge of g, X is empty and
+        nothing is searched.
+
+        Certificates: unless the spec is ``loose``, a node that is not a
+        counterexample has the same root components in H - F as in g - F
+        (each root protects every other vertex).  Each component C that
+        holds an X-pair gets the breadth-first in-tree of H - F inside C
+        from its first root r, cut down to the paths from the X-tails, and
+        the out-tree, cut down to the paths to the X-heads: at most
+        2(|C| - 1) hops.  While they survive, each X-pair (u, v) inside C
+        keeps the path u -> r -> v.  Under global, a node whose component is
+        not V is a prune.  Under loose s-t, a node whose H - F component
+        misses t either is a counterexample or has t outside g - F's
+        component, a prune; otherwise the certificate is a shortest s-to-t
+        path and a shortest t-to-s path of H - F.  Every valid certificate gives the
+        same answer; a smaller one only means fewer nodes.  A node with k
+        edges has no children, so it builds none.
+        """
+        view_g = self.bind(self.g.edge_ids())
+        view_h = self.bind(kept)
+        pairs_h = view_h.pairs
+        x_heads = [0] * self.n
+        for (tail, head), hop in view_g.pairs.items():
+            if hop != pairs_h.get((tail, head)):
+                x_heads[tail] |= 1 << head
+        if not any(x_heads):
+            return None
+
+        def narrow(comp):
+            """The tails and the heads of the X-pairs inside comp, as masks."""
+            tails = heads = 0
+            bits = comp
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                inside = x_heads[b.bit_length() - 1] & comp
+                if inside:
+                    tails |= b
+                    heads |= inside
+            return tails, heads
+
+        roots, protected, loose = self.roots, self.protected, self.loose
+        heap = [(0, ())]
+        seen = {0}
+        while heap:
+            bits, fault = heappop(heap)
+            out, inn = self._masks(view_h, fault)
+            state = self._components(out, inn)
+            if not all(comp & mask == mask for comp, mask in zip(state, protected)):
+                state_g = self.state(view_g, fault)
+                if self.breaks(state_g, state):
+                    return fault, self.first_broken_pair(state_g, state)
+                if loose or self.whole:
+                    continue
+            room = k - len(fault)
+            if not room:
+                continue
+            arcs = []
+            if loose:
+                if narrow(self.state(view_g, fault)[0])[0]:
+                    s, t = roots[0], _low_bit(protected[0])
+                    for path in (shortest_path(out, s, t), shortest_path(out, t, s)):
+                        arcs += zip(path, path[1:])
+            else:
+                done = 0
+                for root, comp in zip(roots, state):
+                    if not comp & done:
+                        done |= comp
+                        tails, heads = narrow(comp)
+                        if tails:
+                            arcs += tree_arcs(out, root, comp, heads)
+                            arcs += [(w, v) for v, w in tree_arcs(inn, root, comp, tails)]
+            for pair in arcs:
+                hop = pairs_h[pair] & ~bits
+                child = bits | hop
+                if hop.bit_count() <= room and child not in seen:
+                    seen.add(child)
+                    heappush(heap, (child, _ids(child)))
         return None
 
 

@@ -1,12 +1,15 @@
 """Ground-truth oracles: exhaustive fault-set verification, critical-edge
 enumeration, cut-characterization verifiers, and strong-fault witnesses.
 
-``verify_ft`` scans fault sets drawn from the preserver's edges, in colex
-edge-id order; pairs are scanned in row-major vertex order.  The first
-counterexample under that order is the one reported.  It is also the first
-counterexample among all fault sets of the host graph: if F is one, so is
-F & E(H) (H - F does not change, and g - F can only gain connectivity), and
-F & E(H) comes no later than F in colex order.
+``verify_ft`` searches fault sets drawn from the preserver's edges
+best-first, in colex edge-id order, skipping every fault set that a
+certificate proves harmless (``ConnectivityOracle.search_counterexample``);
+pairs are read in row-major vertex order.  The first counterexample under
+that order is the one reported, the same as a sweep over every fault set
+would report.  It is also the first counterexample among all fault sets of
+the host graph: if F is one, so is F & E(H) (H - F does not change, and
+g - F can only gain connectivity), and F & E(H) comes no later than F in
+colex order.
 
 Every check under faults here reads states of the variants oracle's bound
 view, the strong fault-model sweeps and witness checks included.
@@ -52,16 +55,17 @@ def _verdict(hit) -> VerifyResult:
 
 
 def verify_ft(g: DiGraph, kept_edges, spec: VariantSpec, k: int) -> VerifyResult:
-    """Exhaustively check the variant's k-FT condition for H = g[kept_edges].
+    """Exactly check the variant's k-FT condition for H = g[kept_edges].
 
     Fault sets range over E(H), so the guard counts |E(H)|, not |E(g)|.
+    The search visits at most the fault sets that the guard counts.
     """
     require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
     spec.validate(g)
     limits.guard_fault_sets(len(kept), k)
     oracle = ConnectivityOracle(g, spec)
-    return _verdict(oracle.first_counterexample(kept, fault_sets_colex(kept, k)))
+    return _verdict(oracle.search_counterexample(kept, k))
 
 
 def verify_kconn(g: DiGraph, kept_edges, k: int) -> VerifyResult:

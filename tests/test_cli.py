@@ -184,11 +184,29 @@ def test_hierarchy_phi_too_large_is_input_error(tmp_path, capsys):
         ("critical", "--graph", "{g}", "--variant", "sourcewise", "--sources", ",",
          "-k", "1"),
         ("critical", "--graph", "{g}", "--variant", "kconn", "-k", "1"),
+        # flags the chosen variant never reads
+        ("build", "--graph", "{g}", "--demand-pairs", "-k", "1"),
+        ("build", "--graph", "{g}", "--variant", "global", "--demand-pairs", "-k", "1"),
+        ("build", "--graph", "{g}", "--source", "0", "-k", "1"),
+        ("build", "--graph", "{g}", "--variant", "kconn", "--target", "1", "-k", "1"),
+        ("build", "--graph", "{g}", "--variant", "sourcewise", "--sources", "0,2",
+         "--source", "1", "-k", "1"),
+        ("verify", "--graph", "{g}", "--preserver", "{p}", "--variant", "single-source",
+         "--source", "0", "--target", "1", "-k", "1"),
+        ("verify", "--graph", "{g}", "--preserver", "{p}", "--variant", "kconn",
+         "--sources", "0", "-k", "1"),
+        ("critical", "--graph", "{g}", "--variant", "st", "--source", "0",
+         "--target", "1", "--sources", "0,1", "-k", "1"),
+        ("critical", "--graph", "{g}", "--variant", "global", "--target", "1", "-k", "1"),
     ],
     ids=["phi-text", "phi-zero-denominator", "build-non-ascii-graph",
          "verify-non-ascii-graph", "verify-non-ascii-preserver", "gen-missing-dir",
          "bench-max-k-zero", "bench-max-k-negative", "build-no-sources",
-         "verify-no-sources", "critical-no-sources", "critical-kconn"],
+         "verify-no-sources", "critical-no-sources", "critical-kconn",
+         "build-demand-pairs-all-pairs", "build-demand-pairs-global",
+         "build-source-all-pairs", "build-target-kconn", "build-source-sourcewise",
+         "verify-target-single-source", "verify-sources-kconn", "critical-sources-st",
+         "critical-target-global"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     paths = {

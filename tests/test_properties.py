@@ -16,12 +16,14 @@ from sccpreserve.flowcut import (
     make_cut,
 )
 from sccpreserve.impcut import enumerate_important_cuts
+from sccpreserve.preservers import greedy_preserver
 from sccpreserve.variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
-from sccpreserve.verify import verify_bounded_degree_witness, verify_color_witness
+from sccpreserve.verify import verify_bounded_degree_witness, verify_color_witness, verify_ft
 
 from conftest import variant_checks
 from oracles import (
     fault_sets_ref,
+    first_counterexample_ref,
     reachable_cut_ref,
     scc_sets_ref,
     strongly_connected_pair_ref,
@@ -81,6 +83,59 @@ def test_first_witness_is_colex_first(g, which, k):
         assert carried.oracle_calls - before == rebuilt.oracle_calls
         if want is None:
             carried.remove(eid)
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.booleans(), st.integers(0, 5), st.data())
+def test_bound_state_matches_reference(g, split, which, data):
+    # the fault may name edges outside the active set, which it cannot drop;
+    # with ``split`` it drops one edge of an active parallel pair, which
+    # keeps its ends adjacent
+    oracle = ConnectivityOracle(g, _specs(g)[which])
+    ids = sorted(g.edge_ids())
+    active = data.draw(st.frozensets(st.sampled_from(ids)))
+    fault = data.draw(st.frozensets(st.sampled_from(ids)))
+    if split:
+        twin, other = _twins(g)
+        active |= {twin, other}
+        fault = (fault | {twin}) - {other}
+    fault = tuple(sorted(fault))
+    comps = scc_sets_ref(g, (set(ids) - active) | set(fault))
+    want = tuple(next(c for c in comps if r in c) for r in oracle.roots)
+    got = oracle.state(oracle.bind(active), fault)
+    assert tuple(mask_to_set(comp) for comp in got) == want
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.booleans(), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_verify_ft_matches_reference(g, cycle, which, k, data):
+    # (ok, pair, faults) against the colex-first counterexample over all of
+    # E(g); H is a greedy output (for k and for k - 1, which mostly fails
+    # on k faults), that output minus one edge, a random subset, g without
+    # its self-loops, or g without one edge of a parallel pair.  A directed
+    # Hamiltonian cycle, when added, makes g strongly connected, so more
+    # pairs are protected and counterexamples need more faults.
+    if cycle:
+        g = g.add_edges([(v, (v + 1) % g.n) for v in range(g.n)])
+    spec, pairs, global_variant = variant_checks(g)[which]
+    ids = sorted(g.edge_ids())
+    kept = greedy_preserver(g, spec, k).kept_edges
+    _, twin = _twins(g)
+    candidates = [
+        kept,
+        greedy_preserver(g, spec, max(k - 1, 0)).kept_edges,
+        data.draw(st.frozensets(st.sampled_from(ids))),
+        frozenset(e.id for e in g.edges if e.tail != e.head),
+        frozenset(ids) - {twin},
+    ]
+    if kept:
+        candidates.append(kept - {data.draw(st.sampled_from(sorted(kept)))})
+    for cand in candidates:
+        res = verify_ft(g, cand, spec, k)
+        cex = res.counterexample
+        got = (True, None, None) if cex is None else (res.ok, cex.pair, cex.faults)
+        ref = first_counterexample_ref(g, cand, pairs, k, global_variant)
+        assert got == ((True, None, None) if ref is None else (False, *ref))
 
 
 def _twins(g):
