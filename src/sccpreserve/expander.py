@@ -27,6 +27,15 @@ w_v[R] = outdeg(v) - c(v -> R) - c(R -> v) grow the same way, one doubling
 per u < v that subtracts m(v, u) + m(u, v).  The table depends on the graph
 only, so the hierarchy build makes one per subgraph and rescans it for each
 shrinking terminal set.
+
+A scan reads only the sides that could be returned.  The smaller terminal
+side holds at most floor(|U|/2) terminals and b[S] is an integer, so a side
+of ratio at most phi has b[S] <= L = floor(phi * floor(|U|/2)).  The masks
+with b[S] <= L are taken in ascending order, so the tie-break (smallest
+mask among equal ratios) is that of a scan of every mask: all sides of the
+minimum ratio pass the filter when that ratio is at most phi.  Between the
+hierarchy's rounds on one table, U strictly shrinks and L never grows, so
+each round filters the list the round before it kept.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, compress
+from math import comb, floor
 from operator import add
 
 from . import limits
@@ -163,16 +172,40 @@ def _boundary_table(g: DiGraph) -> list[int]:
     return table
 
 
-def _sparsest_side(table: list[int], u_mask: int, phi: Fraction) -> int | None:
+def _sparsest_side(
+    table: list[int], u_mask: int, phi: Fraction, masks: list[int] | None = None
+) -> tuple[int | None, list[int]]:
     """Smallest side mask of minimum ratio b[S] / min-terminal-side, if <= phi.
 
-    Scans the masks in ascending order and keeps a side only on a strictly
-    smaller ratio, so ties go to the smallest mask.  Masks that leave every
-    terminal on one side (0 and the full mask among them) are skipped.
+    Returns that mask (None when no side reaches phi) and the masks that
+    were scanned.  Scans the masks in ascending order and keeps a side only
+    on a strictly smaller ratio, so ties go to the smallest mask.  Masks
+    that leave every terminal on one side (0 and the full mask among them)
+    are skipped.
+
+    Bound lemma: only masks with b[S] <= L = floor(phi * floor(|U| / 2)) are
+    scanned.  The smaller terminal side of any S has at most floor(|U| / 2)
+    terminals, so a side with b[S] / small <= phi has b[S] <= phi *
+    floor(|U| / 2), and b[S] is an integer.  A mask left out therefore has
+    a ratio above phi and could not be returned.  When the minimum ratio is
+    at most phi, every mask that attains it passes the filter, and the
+    filter keeps ascending order, so the scan meets the smallest of them
+    first, as a scan of all 2^n masks would.  Otherwise every scanned ratio
+    is above phi too, and the answer is None either way.
+
+    ``masks``, when given, is the list an earlier call returned on the same
+    table with the same phi and a terminal set at least as large: L never
+    grows as |U| shrinks, so every mask with b[S] <= L is still in it, and
+    filtering it again gives the list a filter of the whole table would.
     """
     total = u_mask.bit_count()
+    bound = floor(phi * (total // 2))
+    if masks is None:
+        masks = list(compress(range(len(table)), map(bound.__ge__, table)))
+    else:
+        masks = [mask for mask in masks if table[mask] <= bound]
     best_boundary, best_small, best_mask = 1, 0, 0  # ratio 1/0: none yet
-    for mask, boundary in enumerate(table):
+    for mask, boundary in zip(masks, map(table.__getitem__, masks)):
         inside = (mask & u_mask).bit_count()
         if inside == 0 or inside == total:
             continue
@@ -180,8 +213,8 @@ def _sparsest_side(table: list[int], u_mask: int, phi: Fraction) -> int | None:
         if boundary * best_small < best_boundary * small:
             best_boundary, best_small, best_mask = boundary, small, mask
     if best_small == 0 or Fraction(best_boundary, best_small) > phi:
-        return None
-    return best_mask
+        return None, masks
+    return best_mask, masks
 
 
 def sparsest_cut_wrt(g: DiGraph, terminals, phi) -> Cut | None:
@@ -209,7 +242,7 @@ def sparsest_cut_wrt(g: DiGraph, terminals, phi) -> Cut | None:
         raise CapabilityError(
             f"exact sparse-cut search infeasible at n={g.n} (limit {cap})"
         )
-    mask = _sparsest_side(_boundary_table(g), set_to_mask(U), phi)
+    mask, _ = _sparsest_side(_boundary_table(g), set_to_mask(U), phi)
     return None if mask is None else make_cut(g, mask_to_set(mask))
 
 
@@ -304,14 +337,19 @@ def _expanding_terminals(
 
     Up to ``cut_cap`` vertices, one boundary table of sub serves every round:
     only the terminal set changes between rounds, and the scan is the one
-    :func:`sparsest_cut_wrt` runs, so each round finds the same cut.
+    :func:`sparsest_cut_wrt` runs, so each round finds the same cut.  Each
+    round passes the masks it scanned to the next: the terminal set strictly
+    shrinks (or the loop raises), so the next round's bound is no larger.
     """
     exact = sub.n <= cut_cap
     table = _boundary_table(sub) if exact else None
+    masks = None
     terminals = set(range(sub.n))
     while len(terminals) >= 2:
         if exact:
-            mask = _sparsest_side(table, set_to_mask(terminals), params.phi)
+            mask, masks = _sparsest_side(
+                table, set_to_mask(terminals), params.phi, masks
+            )
             cut = None if mask is None else make_cut(sub, mask_to_set(mask))
         else:
             state["exact"] = False

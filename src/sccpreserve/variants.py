@@ -418,6 +418,12 @@ class ConnectivityOracle:
         H - F; each hop gives one child, F plus the hop's edges, kept when
         it has at most k edges and was not seen before.
 
+        The search guards itself as :class:`CriticalityScan` does: it
+        raises CapabilityError once ``seen`` holds more than
+        ``limits.max_fault_sets()`` fault sets.  ``seen`` holds distinct
+        subsets of E(H) with at most k edges, so no input whose sweep fits
+        under the cap is refused.
+
         Lemma: F is a counterexample when some root r and protected p are
         strongly connected in g - F but not in H - F.  The first condition
         can only fail as F grows and the second can only start to hold, so
@@ -457,6 +463,7 @@ class ConnectivityOracle:
         same answer; a smaller one only means fewer nodes.  A node with k
         edges has no children, so it builds none.
         """
+        cap = limits.max_fault_sets()
         view_g = self.bind(self.g.edge_ids())
         view_h = self.bind(kept)
         pairs_h = view_h.pairs
@@ -517,6 +524,10 @@ class ConnectivityOracle:
                 if hop.bit_count() <= room and child not in seen:
                     seen.add(child)
                     heappush(heap, (child, _ids(child)))
+            if len(seen) > cap:
+                raise CapabilityError(
+                    f"fault-set search passed {cap} fault sets (|E(H)|={len(kept)}, k={k})"
+                )
         return None
 
 

@@ -131,15 +131,21 @@ def test_usage_error_exit_code(tmp_path, capsys):
 
 
 def test_capability_error_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "5")
+    # verify counts the fault sets its search visits: under a cap of 10 the
+    # 1-FT preserver's 11 edges verify at k = 1, where a sweep would scan
+    # 12 sets, and the k = 2 search passes the cap
     gpath = str(tmp_path / "g.txt")
     dump(gen_random(6, 14, 0, ensure_strongly_connected=True), gpath)
+    code, out, _ = run_cli(capsys, "build", "--graph", gpath, "-k", "1", "--json")
+    assert code == 0
+    assert len(json.loads(out)["kept_edges"]) == 11
     ppath = tmp_path / "p.json"
-    ppath.write_text(json.dumps([0, 1, 2]))
-    code, _, err = run_cli(
-        capsys, "verify", "--graph", gpath, "--preserver", str(ppath),
-        "--variant", "all-pairs", "-k", "2",
-    )
+    ppath.write_text(out)
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "10")
+    verify = ["verify", "--graph", gpath, "--preserver", str(ppath), "--variant", "all-pairs"]
+    code, _, _ = run_cli(capsys, *verify, "-k", "1")
+    assert code == 0
+    code, _, err = run_cli(capsys, *verify, "-k", "2")
     assert code == 3
     assert "capability" in err
 

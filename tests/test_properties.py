@@ -3,11 +3,18 @@
 Examples are derandomized, so every run checks the same fixed set.
 """
 
+from fractions import Fraction
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sccpreserve.digraph import DiGraph, mask_to_set
-from sccpreserve.expander import HierarchyParams, build_hierarchy, giant_component_check
+from sccpreserve.expander import (
+    HierarchyParams,
+    build_hierarchy,
+    giant_component_check,
+    sparsest_cut_wrt,
+)
 from sccpreserve.flowcut import (
     bind,
     boundary_edges,
@@ -24,8 +31,10 @@ from conftest import variant_checks
 from oracles import (
     fault_sets_ref,
     first_counterexample_ref,
+    is_strongly_connected_ref,
     reachable_cut_ref,
     scc_sets_ref,
+    sparsest_cut_ref,
     strongly_connected_pair_ref,
 )
 
@@ -138,6 +147,34 @@ def test_verify_ft_matches_reference(g, cycle, which, k, data):
         assert got == ((True, None, None) if ref is None else (False, *ref))
 
 
+@PROPERTY
+@given(loopy_multigraphs(), st.integers(0, 4), st.data())
+def test_changed_matches_reference(g, which, data):
+    # the removed edge may be inactive or a self-loop; the fault holds
+    # other edges, active or not
+    spec, pairs, global_variant = variant_checks(g)[which]
+    oracle = ConnectivityOracle(g, spec)
+    ids = sorted(g.edge_ids())
+    active = data.draw(st.frozensets(st.sampled_from(ids)))
+    eid = data.draw(st.sampled_from(ids))
+    fault = tuple(sorted(data.draw(st.frozensets(st.sampled_from(ids))) - {eid}))
+    view = oracle.bind(active)
+    base = oracle.state(view, fault)
+    got = oracle.changed(base, view, fault, eid)
+    assert got == oracle.breaks(base, oracle.state(view, (*fault, eid)))
+    before = (set(ids) - active) | set(fault)
+    after = before | {eid}
+    if global_variant:
+        ref = is_strongly_connected_ref(g, before) and not is_strongly_connected_ref(g, after)
+    else:
+        ref = any(
+            strongly_connected_pair_ref(g, before, a, b)
+            and not strongly_connected_pair_ref(g, after, a, b)
+            for a, b in pairs
+        )
+    assert got == ref
+
+
 def _twins(g):
     """The first two parallel edges of g, as (first id, second id)."""
     first = {}
@@ -229,6 +266,22 @@ def test_hierarchy_pieces_match_reference_walk(g):
             assert {piece.to_parent[j] for j in piece.local_terminals} == piece.terminals
         else:
             assert piece.graph is None
+
+
+@PROPERTY
+@given(
+    loopy_multigraphs(),
+    st.data(),
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+)
+def test_sparsest_cut_matches_reference(g, data, phi):
+    # the scan reads only sides with boundary <= floor(phi * floor(|U| / 2)):
+    # phi = 0 leaves the sides with no boundary, and phi = 3/2 admits
+    # boundaries above the smaller terminal side
+    terminals = data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=2))
+    cut = sparsest_cut_wrt(g, terminals, phi)
+    got = None if cut is None else (cut.side, cut.boundary)
+    assert got == sparsest_cut_ref(g, terminals, phi)
 
 
 def _terminal_pair(g, data):

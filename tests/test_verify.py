@@ -138,16 +138,18 @@ def test_counterexample_is_colex_first_over_host_edges():
                     assert got == ref, (trial, k, spec.kind, sorted(cand))
 
 
-def test_guard_counts_preserver_edges(monkeypatch):
+def test_verify_ft_counts_search_nodes(monkeypatch):
+    # the cap bounds the fault sets the search visits, not the
+    # C(|E(H)|, <= k) sets a sweep would scan
     g = gen_random(8, 30, 3, ensure_strongly_connected=True)
-    kept = greedy_preserver(g, VariantSpec.all_pairs(), 1).kept_edges
-    cap = fault_set_count(len(kept), 2)
-    assert fault_set_count(g.m, 2) > cap
-    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", str(cap))
-    verify_ft(g, kept, VariantSpec.all_pairs(), 2)
-    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", str(cap - 1))
+    spec = VariantSpec.all_pairs()
+    kept = greedy_preserver(g, spec, 2).kept_edges
+    assert fault_set_count(len(kept), 2) > 100
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "100")
+    assert verify_ft(g, kept, spec, 2).ok
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "10")
     with pytest.raises(CapabilityError):
-        verify_ft(g, kept, VariantSpec.all_pairs(), 2)
+        verify_ft(g, kept, spec, 2)
 
 
 def test_subset_failure_monotone():
@@ -163,10 +165,14 @@ def test_subset_failure_monotone():
 
 
 def test_capability_guard(monkeypatch):
-    g = gen_random(8, 20, 0)
-    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "100")
+    # past the cap the search raises, even with a counterexample beyond it
+    g = gen_random(6, 14, 0, ensure_strongly_connected=True)
+    spec = VariantSpec.all_pairs()
+    kept = greedy_preserver(g, spec, 1).kept_edges
+    assert not verify_ft(g, kept, spec, 2).ok
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "5")
     with pytest.raises(CapabilityError):
-        verify_ft(g, g.edge_ids(), VariantSpec.all_pairs(), 3)
+        verify_ft(g, kept, spec, 2)
 
 
 def test_verify_kconn_examples():
