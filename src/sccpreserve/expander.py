@@ -48,10 +48,10 @@ from math import comb, floor
 from operator import add
 
 from . import limits
-from .digraph import DiGraph, mask_to_set, scc, set_to_mask
+from .digraph import DiGraph, mask_to_set, scc, set_to_mask, tree_arcs
 from .errors import CapabilityError, InputError, require_int
 from .flowcut import Cut, bind, make_cut
-from .variants import ConnectivityOracle, VariantSpec, fault_sets_colex
+from .variants import ConnectivityOracle, VariantSpec, first_fault
 
 
 def _fraction(phi) -> Fraction:
@@ -118,12 +118,19 @@ def is_unbreakable(g: DiGraph, terminals, q: int, k: int) -> UnbreakabilityResul
 
 
 def giant_component_check(g: DiGraph, terminals, q: int, k: int) -> bool:
-    """Exhaustive fault sweep: every <=k-fault graph keeps a giant component.
+    """Does some SCC of g - F keep |U| - 2q terminals for every |F| <= k?
 
-    Caller certifies that the terminal set is (q, k)-unbreakable; this
-    confirms that some SCC of g-F retains at least |U| - 2q terminals for
-    every fault set F of size at most k.  The state of g's all-pairs oracle
-    view under F roots every vertex, so it lists every component of g-F.
+    Caller certifies that the terminal set is (q, k)-unbreakable.  A hit of
+    the search ``variants.first_fault`` is a fault set under which no SCC
+    does; components only split as F grows, so a hit's supersets are hits.
+    The oracle roots each terminal, so its state lists the components of
+    g - F that hold terminals.
+
+    Certificate: the first such component C with enough terminals, and the
+    breadth-first out- and in-tree of g - F inside C from its lowest
+    terminal r, cut down to the paths to and from C's terminals.  While no
+    hop of them is wholly faulted, those terminals stay strongly connected
+    through r, so every hit that contains F holds a whole hop.
     """
     U = frozenset(terminals)
     for v in U:
@@ -133,16 +140,26 @@ def giant_component_check(g: DiGraph, terminals, q: int, k: int) -> bool:
     target = len(U) - 2 * q
     if target <= 0:
         return True
-    limits.guard_fault_sets(g.m, k)
     u_mask = set_to_mask(U)
-    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
+    oracle = ConnectivityOracle(g, VariantSpec.sourcewise(U))
     view = oracle.bind(g.edge_ids())
-    for fault in fault_sets_colex(g.edge_ids(), k):
-        if not any(
-            (comp & u_mask).bit_count() >= target for comp in oracle.state(view, fault)
-        ):
-            return False
-    return True
+    pairs = view.pairs
+
+    def test(fault, room):
+        out, inn = oracle.masks(view, fault)
+        for root, comp in zip(oracle.roots, oracle.components(out, inn)):
+            goals = comp & u_mask
+            if goals.bit_count() >= target:
+                break
+        else:
+            return True
+        if not room:
+            return None
+        arcs = tree_arcs(out, root, comp, goals)
+        arcs += [(w, v) for v, w in tree_arcs(inn, root, comp, goals)]
+        return map(pairs.__getitem__, arcs)
+
+    return first_fault(test, k, limits.max_fault_sets(), "giant-component search") is None
 
 
 def _boundary_table(g: DiGraph) -> list[int]:
@@ -396,28 +413,9 @@ def build_hierarchy(
     piece's terminals go through the unbreakability oracle (desk-scale
     only).
     """
-    cut_cap = limits.exact_cut_limit()
-    rng = random.Random(0)
     state = {"exact": True}
-
-    def split(sub: DiGraph, to_parent: tuple) -> list[set]:
-        stacks = []
-        for comp in scc(sub).components:
-            piece, local = sub.induced(comp)
-            stacks.append(build(piece, tuple(to_parent[v] for v in local)))
-        return _merge_bottom(stacks)
-
-    def build(sub: DiGraph, to_parent: tuple) -> list[set]:
-        # sub is strongly connected: one SCC of its caller's graph
-        local_top = _expanding_terminals(sub, params, cut_cap, rng, state)
-        top = {to_parent[v] for v in local_top}
-        if len(local_top) == sub.n:
-            return [top]
-        rsub, r_local = sub.induced(set(range(sub.n)) - local_top)
-        return split(rsub, tuple(to_parent[v] for v in r_local)) + [top]
-
-    level_sets = split(g, tuple(range(g.n)))
-    levels = tuple(frozenset(s) for s in level_sets)
+    ctx = (params, limits.exact_cut_limit(), random.Random(0), state)
+    levels = tuple(frozenset(s) for s in _split(g, tuple(range(g.n)), ctx))
     pieces = []
     prefix: set = set()
     for i, level in enumerate(levels, start=1):
@@ -441,6 +439,26 @@ def build_hierarchy(
     return ExpanderHierarchy(
         levels=levels, pieces=tuple(pieces), params=params, exact=state["exact"]
     )
+
+
+def _split(sub: DiGraph, to_parent: tuple, ctx: tuple) -> list[set]:
+    """The levels of sub, deepest first, numbered by ``to_parent``.
+
+    ``ctx`` holds the arguments after the graph of ``_expanding_terminals``.
+    """
+    stacks = []
+    for comp in scc(sub).components:
+        piece, local = sub.induced(comp)
+        piece_to_parent = tuple(to_parent[v] for v in local)
+        local_top = _expanding_terminals(piece, *ctx)
+        top = {piece_to_parent[v] for v in local_top}
+        if len(local_top) == piece.n:
+            stacks.append([top])
+            continue
+        rest, r_local = piece.induced(set(range(piece.n)) - local_top)
+        below = _split(rest, tuple(piece_to_parent[v] for v in r_local), ctx)
+        stacks.append(below + [top])
+    return _merge_bottom(stacks)
 
 
 def _merge_bottom(stacks: list[list[set]]) -> list[set]:

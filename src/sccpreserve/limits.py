@@ -2,9 +2,10 @@
 
 Every brute-force search in the package is guarded: if the enumeration would
 exceed the relevant limit we raise CapabilityError.  Sweeps are counted up
-front; the criticality and ``verify_ft`` searches count the fault sets they
-visit.  Defaults are sized for desk-scale instances; each can be overridden
-with an environment variable, the only setting for it.
+front; the one best-first fault search (``variants.first_fault``), which
+runs the criticality, ``verify_ft`` and giant-component checks, counts the
+fault sets it visits.  Defaults are sized for desk-scale instances; each
+can be overridden with an environment variable, the only setting for it.
 """
 
 import os

@@ -11,7 +11,7 @@ roots every vertex, sourcewise roots each source, single-source and s-t
 root s (s-t protects only t), and global roots vertex 0 with one extra
 flag, since its only protected fact is that root 0's component is all of V.
 The same oracle drives edge-criticality checks (greedy constructions),
-exhaustive verification, the giant-component sweep of
+exhaustive verification, the giant-component search of
 ``expander.giant_component_check`` and the strong fault-model witness checks
 of ``verify``: every strong-connectivity question under faults in the
 package is a state of a bound view.
@@ -30,16 +30,19 @@ first and skips the graph's when nothing can be lost.
 Fault sets are ordered colexicographically by edge id, which equals
 ascending order of the subset bitmask: the empty set first, then subsets by
 largest member.  Every "first witness" and "first counterexample" in the
-package is defined against this order, and both are found here by the same
-best-first search: a fault set that is not a hit either prunes every
-superset or branches only on the hops of a certificate, and the search
-still meets the colex-first hit first.
+package is defined against this order, and all are found by one best-first
+search, :func:`first_fault`: a fault set that is not a hit either prunes
+every superset or branches only on the hops of a certificate, and the search
+still meets the colex-first hit first.  Three tests run on it.
+:class:`CriticalityScan` (does dropping one edge break a protected pair?)
+certifies with the path that ``changed`` found.
 :meth:`ConnectivityOracle.search_counterexample` (does a subgraph lose a
 protected pair that the graph keeps?) certifies with trees of the subgraph
 that carry the graph's edges the subgraph dropped.
-:class:`CriticalityScan` (does dropping one edge break a protected pair?)
-certifies with the path that ``changed`` found.  Fault sets that are not
-edge subsets (color families, bounded-degree matchings) take one loop in
+``expander.giant_component_check`` (does some component keep enough
+terminals?) certifies with trees of the graph over one component's
+terminals.  Fault sets that are not edge subsets (color families,
+bounded-degree matchings) take one loop in
 :meth:`ConnectivityOracle.first_counterexample`.
 """
 
@@ -218,7 +221,7 @@ class ConnectivityOracle:
                 drop[eid] = (tail, head, hop)
         return EdgeView(tuple(out), tuple(inn), drop, pairs)
 
-    def _masks(self, view: EdgeView, fault):
+    def masks(self, view: EdgeView, fault):
         """Out- and in-masks of the view minus ``fault`` (any id container)."""
         out = list(view.out)
         inn = list(view.inn)
@@ -238,9 +241,9 @@ class ConnectivityOracle:
         Strong connectivity is an equivalence, so a root that lies in an
         earlier root's component has that same component and reuses it.
         """
-        return self._components(*self._masks(view, fault))
+        return self.components(*self.masks(view, fault))
 
-    def _components(self, out, inn):
+    def components(self, out, inn):
         """The roots' SCC masks in the graph of ``out``/``inn``."""
         comps = []
         for bit in self.root_bits:
@@ -321,7 +324,7 @@ class ConnectivityOracle:
             if hops is not None:
                 hops.append(hop & ~faulted)
             return False
-        out = list(view.out)  # the out-masks of _masks, without the in-masks
+        out = list(view.out)  # the out-masks of masks(), without the in-masks
         for eid in fault:
             entry = drop.get(eid)
             if entry is not None and not entry[2] & ~faulted:
@@ -410,27 +413,15 @@ class ConnectivityOracle:
         which H - F loses a protected fact that g - F keeps.
 
         Returns ``(fault, pair)`` like :meth:`first_counterexample` over
-        ``fault_sets_colex(kept, k)``, the same hit, or None.  Fault sets
-        are searched best-first, as in :class:`CriticalityScan`: a node is a
-        fault set F, and nodes leave a heap in ascending bitmask order, which
-        is colex order.  A node that is not a counterexample prunes (no
-        superset of it is one) or yields a certificate, a list of hops of
-        H - F; each hop gives one child, F plus the hop's edges, kept when
-        it has at most k edges and was not seen before.
+        ``fault_sets_colex(kept, k)``, the same hit, or None.  The fault sets
+        are searched by :func:`first_fault`, whose test is below.
 
-        The search guards itself as :class:`CriticalityScan` does: it
-        raises CapabilityError once ``seen`` holds more than
-        ``limits.max_fault_sets()`` fault sets.  ``seen`` holds distinct
-        subsets of E(H) with at most k edges, so no input whose sweep fits
-        under the cap is refused.
-
-        Lemma: F is a counterexample when some root r and protected p are
-        strongly connected in g - F but not in H - F.  The first condition
-        can only fail as F grows and the second can only start to hold, so
-        every counterexample that contains a node holds a whole hop of the
-        node's certificate, and the :class:`CriticalityScan` lemma carries
-        over: every subset of the colex-first counterexample w is neither a
-        counterexample nor pruned, and the heap pops w first.
+        F is a counterexample when some root r and protected p are strongly
+        connected in g - F but not in H - F.  The first condition can only
+        fail as F grows and the second can only start to hold.  So a node at
+        which the first fails for every pair is a prune, and a list of hops
+        is a certificate when every F' >= F that holds none of them whole
+        keeps in H - F' each protected pair that g - F' keeps.
 
         Covered states: H - F is computed first.  When each root's H - F
         component covers its protected mask, nothing is lost, and unless
@@ -459,11 +450,9 @@ class ConnectivityOracle:
         not V is a prune.  Under loose s-t, a node whose H - F component
         misses t either is a counterexample or has t outside g - F's
         component, a prune; otherwise the certificate is a shortest s-to-t
-        path and a shortest t-to-s path of H - F.  Every valid certificate gives the
-        same answer; a smaller one only means fewer nodes.  A node with k
-        edges has no children, so it builds none.
+        path and a shortest t-to-s path of H - F.  Every valid certificate
+        gives the same answer; a smaller one only means fewer nodes.
         """
-        cap = limits.max_fault_sets()
         view_g = self.bind(self.g.edge_ids())
         view_h = self.bind(kept)
         pairs_h = view_h.pairs
@@ -488,21 +477,21 @@ class ConnectivityOracle:
             return tails, heads
 
         roots, protected, loose = self.roots, self.protected, self.loose
-        heap = [(0, ())]
-        seen = {0}
-        while heap:
-            bits, fault = heappop(heap)
-            out, inn = self._masks(view_h, fault)
-            state = self._components(out, inn)
+        pair = None
+
+        def test(fault, room):
+            nonlocal pair
+            out, inn = self.masks(view_h, fault)
+            state = self.components(out, inn)
             if not all(comp & mask == mask for comp, mask in zip(state, protected)):
                 state_g = self.state(view_g, fault)
                 if self.breaks(state_g, state):
-                    return fault, self.first_broken_pair(state_g, state)
+                    pair = self.first_broken_pair(state_g, state)
+                    return True
                 if loose or self.whole:
-                    continue
-            room = k - len(fault)
+                    return None
             if not room:
-                continue
+                return None
             arcs = []
             if loose:
                 if narrow(self.state(view_g, fault)[0])[0]:
@@ -518,17 +507,63 @@ class ConnectivityOracle:
                         if tails:
                             arcs += tree_arcs(out, root, comp, heads)
                             arcs += [(w, v) for v, w in tree_arcs(inn, root, comp, tails)]
-            for pair in arcs:
-                hop = pairs_h[pair] & ~bits
-                child = bits | hop
-                if hop.bit_count() <= room and child not in seen:
-                    seen.add(child)
-                    heappush(heap, (child, _ids(child)))
-            if len(seen) > cap:
-                raise CapabilityError(
-                    f"fault-set search passed {cap} fault sets (|E(H)|={len(kept)}, k={k})"
-                )
-        return None
+            return map(pairs_h.__getitem__, arcs)
+
+        fault = first_fault(
+            test, k, limits.max_fault_sets(), f"counterexample search (|E(H)|={len(kept)})"
+        )
+        return None if fault is None else (fault, pair)
+
+
+def first_fault(test, k: int, cap: int, what: str) -> tuple | None:
+    """Colex-first fault set of at most k edges that ``test`` hits, or None.
+
+    One best-first search serves criticality (:class:`CriticalityScan`),
+    verification (:meth:`ConnectivityOracle.search_counterexample`) and
+    giant components (``expander.giant_component_check``).  A node is a
+    fault set F, held as its bitmask and its ascending id tuple; nodes
+    leave a heap in ascending bitmask order, which is colex order.
+    ``test(fault, room)``, with room = k - |F|, answers each node once:
+    True for a hit; otherwise the hops of a certificate, each a mask of
+    edge ids with at least one edge outside F, or None for a prune.  Each
+    hop gives one child, F plus the hop's edges, kept when it has at most k
+    edges and was not seen before.  A node with no room gets no children,
+    so its test need not build a certificate.
+
+    Lemma: when a prune means that no superset of F is a hit, and every hit
+    that contains F holds all of some hop of F's certificate, the search
+    returns the colex-first hit w, or None when there is none.  Every
+    subset of w has a smaller bitmask, so none is a hit, and none is
+    pruned, since w contains it.  So each subset of w that leaves the heap
+    has a child that is a larger subset of w with at most k edges, and a
+    child's bitmask exceeds its parent's, so that child is pushed or still
+    waits in the heap.  While w has not left the heap, some subset of it is
+    therefore in the heap, and the heap pops only sets below w, none of
+    them hits, until it pops w.  Hence every answer is that of a sweep over
+    :func:`fault_sets_colex`.
+
+    The search guards itself: it raises CapabilityError, naming ``what``,
+    once ``seen`` holds more than ``cap`` fault sets.  ``seen`` holds
+    distinct sets of at most k edges drawn from the edges hops can hold, so
+    it never exceeds C(m, <= k) for those m edges, the sweep that an
+    up-front count would bound: no input whose sweep fits under the cap is
+    refused.
+    """
+    heap = [(0, ())]
+    seen = {0}
+    while heap:
+        bits, fault = heappop(heap)
+        hops = test(fault, k - len(fault))
+        if hops is True:
+            return fault
+        for hop in hops or ():
+            child = bits | hop
+            if child.bit_count() <= k and child not in seen:
+                seen.add(child)
+                heappush(heap, (child, _ids(child)))
+        if len(seen) > cap:
+            raise CapabilityError(f"{what} passed the limit of {cap} fault sets (k={k})")
+    return None
 
 
 class CriticalityScan:
@@ -541,36 +576,19 @@ class CriticalityScan:
     bound again by :meth:`remove`.  The baseline state of ``active - F``
     does not depend on e, so it is cached per F and shared by every edge.
 
-    :meth:`first_witness` returns the colex-first witness without sweeping
-    all fault sets: it searches fault sets best-first.  A node is a fault
-    set F; nodes leave a heap in ascending bitmask order, which is colex
-    order.  ``changed`` answers each node once: True (F is the witness),
-    a prune (no superset of F is a witness) or the hops of a path that
-    keeps e harmless under F.  Each hop gives one child, F plus the hop's
-    active edges outside F and e, kept when it has at most k edges and was
-    not seen before.
-
-    Lemma: the search returns the colex-first witness w, or None when there
-    is none.  A witness meets two conditions: one that can only fail as F
-    grows (what the prune reads: the pair or component at stake is still
-    whole in active - F) and one that can only start to hold (the cut: no
-    detour for e survives in active - F - e).  So every witness that
-    contains a node F holds all of some hop of F's certificate and so
-    contains one of F's children.  Every subset of w has a smaller bitmask,
-    so none is a witness, and none is pruned, since w contains it.  So a
-    chain of children leads from the empty set to w, each node of it at
-    most k edges and a subset of w, and while w has not left the heap some
-    node of that chain is in it.  The heap therefore pops only sets below
-    w, none of them witnesses, until it pops w.  Hence every answer, and
-    every ``is_ft_critical`` witness and greedy output, is that of a sweep
-    over :func:`fault_sets_colex`.
-
-    The search guards itself: it raises CapabilityError once ``seen`` holds
-    more than ``limits.max_fault_sets()`` fault sets, a cap read when the
-    scan is built.  ``seen`` holds distinct subsets of active - e with at
-    most k edges (a hop holds active edges outside F and e), so it never
-    exceeds C(m - 1, <= k), the sweep that an up-front count would bound:
-    no input whose sweep fits under the cap is refused.
+    :meth:`first_witness` returns the colex-first witness by
+    :func:`first_fault`.  ``changed`` answers each node F once: True (F is
+    the witness), a prune or the hops of a path that keeps e harmless under
+    F, each hop the path's active edges of one pair outside F and e.  A
+    witness meets two conditions: one that can only fail as F grows (what
+    the prune reads: the pair or component at stake is still whole in
+    active - F) and one that can only start to hold (the cut: no detour for
+    e survives in active - F - e).  So no superset of a pruned node is a
+    witness, and every witness that contains a node F holds all of some hop
+    of F's certificate.  Hence every answer, and every ``is_ft_critical``
+    witness and greedy output, is that of a sweep over
+    :func:`fault_sets_colex`.  The cap is read when the scan is built; the
+    hops hold active edges outside e, so no search exceeds C(m - 1, <= k).
 
     The cached states outlive :meth:`remove`, whose precondition is that
     the removed edge e was proved non-critical (``first_witness(e)`` found
@@ -617,28 +635,15 @@ class CriticalityScan:
         edge = self.oracle.g.edge(eid)
         if edge.tail == edge.head:
             return None
-        changed, view, k = self.oracle.changed, self.view, self.k
-        heap = [(0, ())]
-        seen = {0}
+        changed, view = self.oracle.changed, self.view
         hops: list[int] = []
-        while heap:
-            bits, fault = heappop(heap)
+
+        def test(fault, room):
             self.oracle_calls += 1
-            if changed(self._base(fault), view, fault, eid, hops):
-                return fault
-            room = k - len(fault)
-            for hop in hops:
-                child = bits | hop
-                if hop.bit_count() <= room and child not in seen:
-                    seen.add(child)
-                    heappush(heap, (child, _ids(child)))
             hops.clear()
-            if len(seen) > self.cap:
-                raise CapabilityError(
-                    f"criticality search for edge {eid} passed {self.cap} "
-                    f"fault sets (k={k})"
-                )
-        return None
+            return changed(self._base(fault), view, fault, eid, hops) or hops
+
+        return first_fault(test, self.k, self.cap, f"criticality search for edge {eid}")
 
     def broken_pair(self, fault: tuple, eid: int):
         """The first pair that dropping ``eid`` on top of ``fault`` breaks.

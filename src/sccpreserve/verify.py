@@ -47,7 +47,8 @@ def _check_kept(g: DiGraph, kept_edges) -> frozenset:
 
 
 def _verdict(hit) -> VerifyResult:
-    """VerifyResult of a ``first_counterexample`` hit (None means verified)."""
+    """VerifyResult of a ``search_counterexample`` or ``first_counterexample``
+    hit (None means verified)."""
     if hit is None:
         return VerifyResult(ok=True)
     faults, pair = hit

@@ -402,7 +402,7 @@ def test_criterion_11_giant_component(hierarchy_corpus):
             if len(cert.terminals) - 2 * params.q <= 0:
                 continue  # vacuous instances confirm nothing
             sub, to_parent = g.induced(cert.component)
-            if fault_set_count(sub.m, params.k) > 20_000:
+            if fault_set_count(sub.m, params.k) > 20_000:  # test-time budget
                 skipped += 1
                 continue
             local = [to_parent.index(v) for v in cert.terminals]
@@ -413,8 +413,8 @@ def test_criterion_11_giant_component(hierarchy_corpus):
     _report(
         11,
         ok,
-        f"{confirmed} unbreakable terminal sets fault-enumerated for a giant "
-        f"component ({failures} failures, {skipped} skipped over the m guard)",
+        f"{confirmed} unbreakable terminal sets searched over fault sets for a giant "
+        f"component ({failures} failures, {skipped} skipped over the test budget)",
     )
     assert failures == 0
     assert confirmed > 0

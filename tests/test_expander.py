@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -93,8 +94,8 @@ def test_unbreakable_pair_guard(monkeypatch):
 
 
 def test_giant_component_rejects_negative_parameters():
-    # k = -1 counts no fault sets, so an unchecked k would pass the guard
-    # and sweep every subset of the edges
+    # k = -1 leaves no room for a single fault, so an unchecked k would
+    # answer from the empty fault set alone
     g = gen_random(6, 16, 0, ensure_strongly_connected=True)
     for q, k in ((1, -1), (-1, 1)):
         with pytest.raises(InputError):
@@ -109,6 +110,30 @@ def test_giant_component_examples():
     doubled = DiGraph(2, [(0, 1), (0, 1), (1, 0), (1, 0)])
     assert giant_component_check(doubled, {0, 1}, 0, 1)  # a twin survives each fault
     assert not giant_component_check(doubled, {0, 1}, 0, 2)
+
+
+def test_giant_component_search_counts_nodes(monkeypatch):
+    # The search sees three fault sets (the empty set, then one twin pair
+    # each way, the first of which splits the pair), not the C(4, <= 2) = 11
+    # subsets a sweep would scan.
+    doubled = DiGraph(2, [(0, 1), (0, 1), (1, 0), (1, 0)])
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "5")
+    assert not giant_component_check(doubled, {0, 1}, 0, 2)
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "1")
+    with pytest.raises(CapabilityError, match="giant-component search .* 1 fault sets"):
+        giant_component_check(doubled, {0, 1}, 0, 2)
+
+
+def test_build_hierarchy_leaves_no_cycles():
+    # a build frees everything it made without the cyclic collector
+    g = gen_random(10, 30, 1, ensure_strongly_connected=True)
+    gc.collect()
+    gc.disable()
+    try:
+        build_hierarchy(g, HierarchyParams(2, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sparsest_cut_path():

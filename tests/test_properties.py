@@ -205,7 +205,7 @@ def _witness_ref(g, kept, cross, fault, s, y):
 
 
 @PROPERTY
-@given(loopy_multigraphs(), st.data(), st.integers(0, 2), st.integers(0, 1))
+@given(loopy_multigraphs(), st.data(), st.integers(0, 3), st.integers(0, 1))
 def test_giant_component_check_matches_reference(g, data, k, q):
     terminals = data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=2))
     target = len(terminals) - 2 * q

@@ -5,6 +5,7 @@ import pytest
 from sccpreserve import variants
 from sccpreserve.digraph import DiGraph, shortest_path
 from sccpreserve.errors import CapabilityError, InputError
+from sccpreserve.expander import giant_component_check
 from sccpreserve.limits import fault_set_count
 from sccpreserve.variants import (
     ConnectivityOracle,
@@ -282,6 +283,20 @@ def test_first_witness_cap_counts_seen_fault_sets(monkeypatch):
     with pytest.raises(CapabilityError):
         scan.first_witness(0)
     assert scan.oracle_calls == 1
+
+
+def test_fault_searches_name_the_search_and_the_cap(monkeypatch):
+    # the criticality, counterexample and giant-component searches all run
+    # on one helper, whose error names the search that passed the cap
+    g = DiGraph(3, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0)])
+    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
+    monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "1")
+    with pytest.raises(CapabilityError, match="criticality search for edge 0 .*limit of 1 "):
+        CriticalityScan(oracle, g.edge_ids(), 2).first_witness(0)
+    with pytest.raises(CapabilityError, match=r"counterexample search \(\|E\(H\)\|=4\) .*limit of 1 "):
+        oracle.search_counterexample({0, 1, 3, 4}, 2)
+    with pytest.raises(CapabilityError, match="giant-component search .*limit of 1 "):
+        giant_component_check(g, {0, 1, 2}, 0, 2)
 
 
 def test_first_witness_fits_the_sweep_bound(monkeypatch):
