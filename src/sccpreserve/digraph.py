@@ -148,11 +148,15 @@ class DiGraph:
         Vertices are renumbered densely; returns (subgraph, to_parent) where
         to_parent[new_index] is the original vertex.  Edge ids are preserved,
         so preserver edges computed inside the subgraph are directly valid in
-        the parent graph.
+        the parent graph.  Induced on every vertex, the subgraph is the graph
+        itself, which is returned with the identity ``to_parent``: a graph is
+        immutable, and a copy would equal it by content.
         """
         to_parent = tuple(sorted(set(vertex_set)))
         for v in to_parent:
             self._check_vertex(v)
+        if len(to_parent) == self.n:
+            return self, to_parent
         local = {v: i for i, v in enumerate(to_parent)}
         records = [
             Edge(e.id, local[e.tail], local[e.head], e.color)

@@ -409,9 +409,11 @@ def build_hierarchy(
     with the two vertex maps composed, and equals ``g.induced`` of its
     vertices: the parent graph keeps every edge of g between its vertices
     with its id and color, and its ``to_parent`` is ascending, so the
-    vertices rank the same in both.  With ``verify_certificates`` each
-    piece's terminals go through the unbreakability oracle (desk-scale
-    only).
+    vertices rank the same in both.  A graph induced on all of its parent's
+    vertices is the parent itself, so a strongly connected g is not copied
+    for its split, its last prefix or that prefix's one SCC.  With
+    ``verify_certificates`` each piece's terminals go through the
+    unbreakability oracle (desk-scale only).
     """
     state = {"exact": True}
     ctx = (params, limits.exact_cut_limit(), random.Random(0), state)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .digraph import DiGraph
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, require_int
 
 _MAX_GENERATED_VERTICES = 200_000
 
@@ -249,6 +249,7 @@ def gen_random(
     """
     if n < 0 or m < 0:
         raise InputError("n and m must be nonnegative")
+    require_int("seed", seed, 0)  # Random(-s) draws the same stream as Random(s)
     _guard_size(n)
     rng = random.Random(seed)
     edges = []

@@ -128,6 +128,33 @@ class FlowView:
         self.nonzero = tuple(nonzero)
         self.into = tuple(into)
 
+    def minus_edge(self, tail: int, head: int) -> "FlowView":
+        """The view of the bound graph less one tail -> head edge.
+
+        The edge counts once in ``cap[tail * n + head]`` and once in
+        ``into[head]``, and its pair leaves ``nonzero[tail]`` when it was the
+        pair's last edge; nothing else of a fresh bind depends on it.  A
+        self-loop is skipped by a bind, so it returns this view.  The bound
+        graph must hold such an edge.  A view is never changed in place.
+        """
+        if tail == head:
+            return self
+        n = self.n
+        view = FlowView.__new__(FlowView)
+        view.n, view.full = n, self.full
+        view.cap = cap = self.cap[:]
+        i = tail * n + head
+        cap[i] -= 1
+        view.nonzero = self.nonzero
+        if not cap[i]:
+            nonzero = list(self.nonzero)
+            nonzero[tail] &= ~(1 << head)
+            view.nonzero = tuple(nonzero)
+        into = list(self.into)
+        into[head] -= 1
+        view.into = tuple(into)
+        return view
+
     def _flow(self, x_mask: int, y_mask: int, stop=None, supply=None):
         """Augment until no residual path is left or ``stop`` is reached.
 

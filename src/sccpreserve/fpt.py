@@ -7,7 +7,9 @@ per vertex), and per-terminal important-cut boundaries at budget k+1.  With
 high probability it contains every edge that is k-fault critical with
 respect to U x V; at desk scale, where U fits inside the deterministic
 slice entirely, containment is unconditional.  A piece holds few terminals,
-so the samples repeat; each distinct sample's containers are built once.
+so the samples repeat: drawing stops once every q-subset has appeared, and
+each distinct sample's containers are built once.  A container that a
+single-pair flow already shows to be empty is not built at all.
 
 All randomness flows from one recorded seed, so identical inputs give
 identical outputs.  A :class:`FptCache` can be shared across calls.  It
@@ -15,9 +17,9 @@ reuses a single-source preserver S = sscp(G, u, k) for every graph G' with
 S <= G' <= G, where greedy provably returns S again.  In the decremental
 loop of :func:`fpt_preserver` the removed edge lies outside the container,
 which holds every S it was built from, so most lookups reuse.  Important-cut
-container sides and expander hierarchies are memoized by graph content; a
-side is reused only by a later call on the same graph.  Caching never
-changes any result.
+container sides, the bound flow views they run on, single-pair flows and
+expander hierarchies are memoized by graph content; each is reused only by
+a later call on the same graph.  Caching never changes any result.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, log, sqrt
+from math import ceil, comb, log, sqrt
 
 from . import limits
 from .digraph import DiGraph
 from .errors import InputError, require_int
 from .expander import HierarchyParams, build_hierarchy
+from .flowcut import FlowView, bind
 from .impcut import important_cut_container
 from .preservers import PreserverResult, is_ft_critical, sscp
 from .variants import VariantSpec
@@ -63,13 +66,16 @@ class FptCache:
     F & E(H'_i) witnesses e_i in H'_i and e_i is kept.  The run on G'
     therefore ends at S.
 
-    Important-cut container sides and expander hierarchies are memoized by
-    graph content: a graph hashes and compares by its signature, so only an
-    identical graph hits.  Both computations are deterministic functions of
-    the graph and their other arguments; a hierarchy also depends on
-    ``limits.exact_cut_limit()``, which joins its key.  A memoized
-    hierarchy hands out the same piece graphs on every hit, so container
-    keys built on them match by identity before any signature is compared.
+    Important-cut container sides, bound flow views, single-pair flows and
+    expander hierarchies are memoized by graph content: a graph hashes and
+    compares by its signature, so only an identical graph hits.  Each is a
+    deterministic function of the graph and its other arguments; a
+    hierarchy also depends on ``limits.exact_cut_limit()``, which joins its
+    key.  A memoized hierarchy hands out the same piece graphs on every hit,
+    so keys built on them match by identity before any signature is
+    compared.  A piece keeps one :class:`FlowView` per direction, on which
+    every container side of that piece and direction runs, and one table of
+    single-pair flows per k.
 
     One :func:`critical_edge_container` call asks each container key once,
     so container sides hit only across calls on the same graph: every seed
@@ -80,6 +86,8 @@ class FptCache:
     sscp_entries: dict = field(default_factory=dict)
     containers: dict = field(default_factory=dict)
     hierarchies: dict = field(default_factory=dict)
+    views: dict = field(default_factory=dict)
+    flows: dict = field(default_factory=dict)
 
     def sscp_for(
         self, g: DiGraph, u: int, k: int, scope: tuple | None = None
@@ -103,13 +111,47 @@ class FptCache:
             self.hierarchies[key] = hit
         return hit
 
+    def view(self, g: DiGraph, direction: str) -> FlowView:
+        """``bind(g)`` for ``'out'``, ``bind(g, reverse=True)`` for ``'in'``."""
+        key = (g, direction)
+        hit = self.views.get(key)
+        if hit is None:
+            hit = self.views[key] = bind(g, reverse=direction == "in")
+        return hit
+
+    def pair_flows(self, g: DiGraph, k: int) -> "PairFlows":
+        key = (g, k)
+        hit = self.flows.get(key)
+        if hit is None:
+            hit = self.flows[key] = PairFlows(self.view(g, "out"), k + 2)
+        return hit
+
     def container_side(self, g, x, y_set, k, direction):
         key = (g, x, y_set, k, direction)
         hit = self.containers.get(key)
         if hit is None:
-            res = important_cut_container(g, [x], y_set, k, direction)
+            res = important_cut_container(
+                g, [x], y_set, k, direction, self.view(g, direction)
+            )
             hit = self.containers[key] = (res.side, res.boundary)
         return hit
+
+
+class PairFlows(dict):
+    """min(flow(a, b), cap) of one bound graph, keyed (a, b), each computed
+    on its first read."""
+
+    __slots__ = ("view", "cap")
+
+    def __init__(self, view: FlowView, cap: int):
+        super().__init__()
+        self.view = view
+        self.cap = cap
+
+    def __missing__(self, pair):
+        a, b = pair
+        value = self[pair] = self.view.value(1 << a, 1 << b, self.cap)
+        return value
 
 
 def sample_count(n: int) -> int:
@@ -123,7 +165,8 @@ def sample_count(n: int) -> int:
 class CriticalContainerReport:
     edges: frozenset
     per_vertex_terminals: dict
-    sampled_sets: tuple[frozenset, ...]
+    sampled_sets: tuple[frozenset, ...]  # the distinct samples, in draw order
+    draws: int  # draws made; the lam - draws left could add no new sample
     sample_count: int
     rng_seed: int
     j_union: int
@@ -143,14 +186,28 @@ def critical_edge_container(
     Follows the sampling construction: single-source preservers from the
     first min(5q^2, |U|) terminals, lam = ceil(50 ln n) sampled q-subsets
     Q_j, per-vertex terminal sets from important-cut containers toward the
-    samples, then per-terminal containers at budget k+1.  When |U| < q the
-    samples degenerate to U itself.  ``scope`` names g's vertices in a
-    larger graph (see :class:`FptCache`).
+    samples, then per-terminal containers at budget k+1.  When |U| <= q
+    every sample is U itself.  ``scope`` names g's vertices in a larger
+    graph (see :class:`FptCache`).
 
-    Containers are built per distinct sample, in draw order: a vertex's
-    terminal set is a union of container sides, which a repeated sample
-    leaves unchanged, and the bound below counts all lam draws.  Every draw
-    is still made and ``sampled_sets`` lists them all, repeats included.
+    Only the set of distinct samples is read: a vertex's terminal set is a
+    union of container sides, which a repeated sample leaves unchanged, and
+    the bound below counts all lam draws.  ``rng`` is local and read only by
+    the draws, so no draw is made once the samples hold all C(|U|, q)
+    q-subsets (the rest could only repeat one), and none when |U| <= q.
+    ``sampled_sets`` lists the distinct samples in draw order and ``draws``
+    counts the draws made.
+
+    A container that must come out empty is not built.  The container
+    toward Q is empty when flow(X, Q) exceeds its budget (no important cut
+    is that small), and flow(v, Q) >= flow(v, u) for every u in Q: cutting
+    each of k + 1 edge-disjoint v -> u paths at its first Q vertex leaves
+    k + 1 edge-disjoint v -> Q paths.  So the out-container of (v, Q) is
+    skipped when some single-pair flow flow(v, u) of g exceeds k, and the
+    in-container, whose transposed v -> Q flow is g's Q -> v flow, when
+    some flow(u, v) does; a budget-(k+1) container from u to {v} is skipped
+    when flow(u, v) (out) or flow(v, u) (in) exceeds k + 1.  The pair flows
+    are capped at k + 2, which decides both tests.
 
     Raises :class:`InputError` when some vertex collects more than
     2 * lambda * q terminals: the terminal set is not unbreakable enough
@@ -158,40 +215,45 @@ def critical_edge_container(
     """
     require_int("q", q, 1)
     require_int("k", k, 0)
+    require_int("seed", seed, 0)
     U = sorted(set(terminals))
     for v in U:
         g._check_vertex(v)
     if cache is None:
         cache = FptCache()
     if not U:
-        return CriticalContainerReport(frozenset(), {}, (), 0, seed, 0)
-    rng = random.Random(seed)
+        return CriticalContainerReport(frozenset(), {}, (), 0, 0, seed, 0)
     slice_size = min(5 * q * q, len(U))
     j_edges: set = set()
     for u in U[:slice_size]:
         j_edges |= cache.sscp_for(g, u, k, scope)
 
     lam = sample_count(g.n)
-    samples = []
-    for _ in range(lam):
-        if len(U) < q:
-            samples.append(frozenset(U))
-        else:
-            samples.append(frozenset(rng.sample(U, q)))
+    draws = 0
+    if len(U) <= q:
+        samples = {frozenset(U): None}
+    else:
+        rng = random.Random(seed)
+        samples = {}  # draw order
+        subsets = comb(len(U), q)
+        while draws < lam and len(samples) < subsets:
+            samples[frozenset(rng.sample(U, q))] = None
+            draws += 1
 
     u_set = frozenset(U)
+    flow = cache.pair_flows(g, k)
     per_vertex: dict = {}
     container_edges: set = set(j_edges)
     bound = 2 * lam * q
-    distinct = dict.fromkeys(samples)  # draw order; a side union ignores repeats
     for v in range(g.n):
         union_side: set = set()
-        for q_set in distinct:
+        for q_set in samples:
             if v in q_set:
                 continue
-            for direction in ("out", "in"):
-                side, _ = cache.container_side(g, v, q_set, k, direction)
-                union_side |= side
+            if all(flow[v, u] <= k for u in q_set):
+                union_side |= cache.container_side(g, v, q_set, k, "out")[0]
+            if all(flow[u, v] <= k for u in q_set):
+                union_side |= cache.container_side(g, v, q_set, k, "in")[0]
         terminals_v = frozenset(union_side & u_set)
         if len(terminals_v) > bound:
             raise InputError(
@@ -199,16 +261,19 @@ def critical_edge_container(
                 "terminal set was not unbreakable enough"
             )
         per_vertex[v] = terminals_v
+        target = frozenset([v])
         for u in sorted(terminals_v):
             if u == v:
                 continue
-            for direction in ("out", "in"):
-                _, boundary = cache.container_side(g, u, frozenset([v]), k + 1, direction)
-                container_edges |= boundary
+            if flow[u, v] <= k + 1:
+                container_edges |= cache.container_side(g, u, target, k + 1, "out")[1]
+            if flow[v, u] <= k + 1:
+                container_edges |= cache.container_side(g, u, target, k + 1, "in")[1]
     return CriticalContainerReport(
         edges=frozenset(container_edges),
         per_vertex_terminals=per_vertex,
         sampled_sets=tuple(samples),
+        draws=draws,
         sample_count=lam,
         rng_seed=seed,
         j_union=len(j_edges),
@@ -241,6 +306,7 @@ def fpt_container_all_pairs(
     k-fault critical edge of g.
     """
     require_int("k", k, 0)
+    require_int("seed", seed, 0)
     if cache is None:
         cache = FptCache()
     if g.n == 0:
@@ -289,6 +355,7 @@ def fpt_preserver(
     heuristic sparse cut.
     """
     require_int("k", k, 0)
+    require_int("seed", seed, 0)
     if cache is None:
         cache = FptCache()
     rng = random.Random(seed)

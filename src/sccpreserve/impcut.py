@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import limits
 from .digraph import DiGraph, mask_to_set, out_masks, reach_mask, set_to_mask
 from .errors import InputError, require_int
-from .flowcut import Cut, _check_terminals, _reach_inside, bind, make_cut
+from .flowcut import Cut, FlowView, _check_terminals, _reach_inside, bind, make_cut
 
 NO_SMALL_CUTS = "no_important_cuts"
 OK = "ok"
@@ -49,7 +49,7 @@ class ContainerResult:
 
 
 def important_cut_container(
-    g: DiGraph, X, Y, k: int, direction: str = "out"
+    g: DiGraph, X, Y, k: int, direction: str = "out", view: FlowView | None = None
 ) -> ContainerResult:
     """A single cut whose side contains every important (X, Y)-cut side.
 
@@ -57,14 +57,17 @@ def important_cut_container(
     (``bind(g, reverse=True)``): in-reachable cuts of g are exactly the
     out-reachable cuts of reverse(g), whose out-boundary heads are the
     tails of g's in-boundary, and edge ids are shared, so the boundary is
-    reported against g directly.  No reversed graph is built.
+    reported against g directly.  No reversed graph is built.  A caller
+    that asks many containers of one graph passes ``view``, which must be
+    ``bind(g, reverse=direction == 'in')``; a query never changes a view.
     """
     require_int("k", k, 0)
     if direction not in ("out", "in"):
         raise InputError(f"bad direction {direction!r}")
     X, Y = _check_terminals(g, X, Y)
     x_mask, y_mask = set_to_mask(X), set_to_mask(Y)
-    view = bind(g, reverse=direction == "in")
+    if view is None:
+        view = bind(g, reverse=direction == "in")
     side, lam = view.farthest(x_mask, y_mask)
     if lam > k:
         return ContainerResult(NO_SMALL_CUTS, None, lam, None, ())

@@ -94,9 +94,11 @@ def greedy_kconn_preserver(
 
     One pass in ascending edge id drops every edge whose removal keeps the
     targets: every pair, or with ``use_demand_pairs`` only the demand pairs,
-    each with its clamped connectivity min(lambda, k).  Each probe binds one
-    graph, g restricted to the kept edges minus the probed one.
-    Transitivity keeps the final result a preserver of the input.
+    each with its clamped connectivity min(lambda, k).  g is bound once;
+    each probe is the current view less the probed edge
+    (:meth:`FlowView.minus_edge`, equal to a fresh bind of that graph), and
+    becomes the current view when the edge goes.  Transitivity keeps the
+    final result a preserver of the input.
 
     The targets are computed once, from g.  A removal is committed only
     when every target pair keeps its clamped connectivity, and so does
@@ -119,11 +121,14 @@ def greedy_kconn_preserver(
         targets = demand_pairs(g, k).pairs
     else:
         targets = bind(g).symmetric_pairs(k)
+    view = bind(g)
     for e in g.edges:
         if e.tail != e.head:
             oracle_calls += 1
-            if not _preserves_pairs(bind(g.restrict_to(kept - {e.id})), targets):
+            probe = view.minus_edge(e.tail, e.head)
+            if not _preserves_pairs(probe, targets):
                 continue
+            view = probe
         kept.discard(e.id)
     return PreserverResult(
         kept_edges=frozenset(kept),
@@ -207,6 +212,7 @@ def check_kcritical_cut_bound(
     side-enumeration guard.
     """
     require_int("k", k, 0)
+    require_int("seed", seed, 0)
     if sample_limit is not None:
         require_int("sample_limit", sample_limit, 0)
     n = h.n

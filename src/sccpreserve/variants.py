@@ -572,9 +572,10 @@ class CriticalityScan:
     An active edge e is critical when, for some fault set F of at most k
     other active edges, dropping e from ``active - F`` breaks a protected
     pair; such an F is a witness.  Self-loops never carry connectivity and
-    are never critical.  The active set is bound once into an edge view and
-    bound again by :meth:`remove`.  The baseline state of ``active - F``
-    does not depend on e, so it is cached per F and shared by every edge.
+    are never critical.  The active set is bound once into an edge view,
+    which the scan owns and :meth:`remove` edits in place.  The baseline
+    state of ``active - F`` does not depend on e, so it is cached per F and
+    shared by every edge.
 
     :meth:`first_witness` returns the colex-first witness by
     :func:`first_fault`.  ``changed`` answers each node F once: True (F is
@@ -640,6 +641,8 @@ class CriticalityScan:
 
         def test(fault, room):
             self.oracle_calls += 1
+            if not room:  # a leaf: every child would hold more than k edges
+                return changed(self._base(fault), view, fault, eid)
             hops.clear()
             return changed(self._base(fault), view, fault, eid, hops) or hops
 
@@ -654,9 +657,32 @@ class CriticalityScan:
         return self.oracle.first_broken_pair(self._base(fault), after)
 
     def remove(self, eid: int) -> None:
-        """Drop an edge proved non-critical; cached states stay valid."""
+        """Drop an edge proved non-critical; cached states stay valid.
+
+        The view loses the edge in place and then equals a fresh bind of
+        the smaller active set: the edge leaves its hop, and the entries in
+        ``drop`` of the hop's other edges get the smaller hop.  When the hop
+        empties, no active edge joins its pair any more, so the pair's
+        ``pairs`` entry and its out- and in-mask bits go too.  A self-loop
+        or inactive id is in no hop and leaves the view as it is.
+        """
         self.active.discard(eid)
-        self.view = self.oracle.bind(self.active)
+        view = self.view
+        entry = view.drop.pop(eid, None)
+        if entry is None:
+            return
+        tail, head, hop = entry
+        hop &= ~(1 << eid)
+        if hop:
+            view.pairs[tail, head] = hop
+            for other in _ids(hop):
+                view.drop[other] = (tail, head, hop)
+            return
+        del view.pairs[tail, head]
+        out, inn = list(view.out), list(view.inn)
+        out[tail] &= ~(1 << head)
+        inn[head] &= ~(1 << tail)
+        self.view = view._replace(out=tuple(out), inn=tuple(inn))
 
 
 def _low_bit(mask: int) -> int:

@@ -204,6 +204,9 @@ def test_hierarchy_phi_too_large_is_input_error(tmp_path, capsys):
         ("critical", "--graph", "{g}", "--variant", "st", "--source", "0",
          "--target", "1", "--sources", "0,1", "-k", "1"),
         ("critical", "--graph", "{g}", "--variant", "global", "--target", "1", "-k", "1"),
+        # Random(-s) draws the stream of Random(s): a negative seed would alias
+        ("gen", "random", "--seed", "-1", "-o", "{g}"),
+        ("build", "--graph", "{g}", "--algo", "fpt", "--seed", "-1", "-k", "1"),
     ],
     ids=["phi-text", "phi-zero-denominator", "build-non-ascii-graph",
          "verify-non-ascii-graph", "verify-non-ascii-preserver", "gen-missing-dir",
@@ -212,7 +215,7 @@ def test_hierarchy_phi_too_large_is_input_error(tmp_path, capsys):
          "build-demand-pairs-all-pairs", "build-demand-pairs-global",
          "build-source-all-pairs", "build-target-kconn", "build-source-sourcewise",
          "verify-target-single-source", "verify-sources-kconn", "critical-sources-st",
-         "critical-target-global"],
+         "critical-target-global", "gen-negative-seed", "build-fpt-negative-seed"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     paths = {

@@ -83,6 +83,14 @@ def test_induced_preserves_edge_ids():
     assert all(to_parent[e.tail] == g.edge(e.id).tail for e in sub.edges)
 
 
+def test_induced_on_every_vertex_is_the_graph():
+    g = DiGraph(3, [(0, 1), (1, 1), (1, 2), (2, 0), (0, 1, 4)])
+    sub, to_parent = g.induced([2, 0, 1, 1])
+    assert sub is g and to_parent == (0, 1, 2)
+    with pytest.raises(InputError):
+        g.induced([0, 1, 3])
+
+
 def test_restrict_to_all_is_identity():
     g = bidirected_triangle()
     assert g.restrict_to(g.edge_ids()) == g

@@ -18,6 +18,7 @@ from sccpreserve.fpt import (
     sample_count,
 )
 from sccpreserve.impcut import important_cut_container
+from sccpreserve.kconn import check_kcritical_cut_bound
 from sccpreserve.preservers import sscp
 from sccpreserve.variants import VariantSpec
 from sccpreserve.verify import enumerate_critical_edges, verify_ft
@@ -54,7 +55,9 @@ def test_container_report_fields():
     g = bidirected_k4()
     report = critical_edge_container(g, range(4), 3, 1, seed=5)
     assert report.rng_seed == 5
-    assert len(report.sampled_sets) == report.sample_count
+    # drawing stops once all C(4, 3) subsets have appeared
+    assert len(set(report.sampled_sets)) == len(report.sampled_sets) == math.comb(4, 3)
+    assert len(report.sampled_sets) <= report.draws < report.sample_count
     for q_set in report.sampled_sets:
         assert len(q_set) == 3
         assert q_set <= frozenset(range(4))
@@ -78,19 +81,23 @@ def test_container_builds_each_key_once_per_call():
         g = gen_random(7, 16, graph_seed, ensure_strongly_connected=True)
         cache = KeyCountingCache()
         report = critical_edge_container(g, range(7), q, 1, seed=graph_seed, cache=cache)
-        assert len(set(report.sampled_sets)) < len(report.sampled_sets)
+        assert len(report.sampled_sets) < report.draws
         assert max(cache.asked.values()) == 1
 
 
 def test_container_terminals_union_every_draw():
-    # the terminal sets equal unions over all lam draws, repeats included
+    # the terminal sets equal unions over all lam draws, repeats included,
+    # drawn here from the seed as an unsaturated run would draw them
     q, _ = container_params(6, 1)
     for graph_seed in range(3):
         g = gen_random(6, 13, 60 + graph_seed, ensure_strongly_connected=True)
         report = critical_edge_container(g, range(6), q, 1, seed=graph_seed)
+        rng = random.Random(graph_seed)
+        draws = [frozenset(rng.sample(range(6), q)) for _ in range(report.sample_count)]
+        assert report.sampled_sets == tuple(dict.fromkeys(draws))
         for v in range(g.n):
             side = set()
-            for q_set in report.sampled_sets:
+            for q_set in draws:
                 if v not in q_set:
                     for direction in ("out", "in"):
                         side |= important_cut_container(g, [v], q_set, 1, direction).side
@@ -279,3 +286,20 @@ def test_interned_pieces_are_shared_and_change_nothing():
         # every container lookup ran on a piece object of the memoized hierarchy
         hosts = {id(key[0]) for key in cache.containers}
         assert hosts and hosts <= {id(piece.graph) for piece in pieces}
+
+
+@pytest.mark.parametrize("seed", [-5, 1.5, "5", True])
+def test_seeds_are_nonnegative_ints(seed):
+    # Random(-5) draws the stream of Random(5), so a negative seed would
+    # silently give seed 5's output; other types were echoed unchecked
+    g = three_cycle()
+    calls = [
+        lambda: gen_random(4, 6, seed),
+        lambda: critical_edge_container(g, range(3), 2, 1, seed),
+        lambda: fpt_container_all_pairs(g, 1, seed),
+        lambda: fpt_preserver(g, 1, seed),
+        lambda: check_kcritical_cut_bound(g, 1, sample_limit=2, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="seed"):
+            call()

@@ -3,7 +3,10 @@
 Examples are derandomized, so every run checks the same fixed set.
 """
 
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,8 +25,9 @@ from sccpreserve.flowcut import (
     canonicalize_out_reachable,
     make_cut,
 )
-from sccpreserve.impcut import enumerate_important_cuts
-from sccpreserve.preservers import greedy_preserver
+from sccpreserve.fpt import FptCache, critical_edge_container, sample_count
+from sccpreserve.impcut import enumerate_important_cuts, important_cut_container
+from sccpreserve.preservers import greedy_preserver, sscp
 from sccpreserve.variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
 from sccpreserve.verify import verify_bounded_degree_witness, verify_color_witness, verify_ft
 
@@ -31,11 +35,13 @@ from conftest import variant_checks
 from oracles import (
     fault_sets_ref,
     first_counterexample_ref,
+    ft_critical_ref,
     is_strongly_connected_ref,
     reachable_cut_ref,
     scc_sets_ref,
     sparsest_cut_ref,
     strongly_connected_pair_ref,
+    verify_ft_ref,
 )
 
 PROPERTY = settings(
@@ -327,3 +333,128 @@ def test_boundary_heads_count_boundary_edges(g, data):
     mask = data.draw(st.integers(0, (1 << g.n) - 1))
     want = len(boundary_edges(g, mask_to_set(mask)))
     assert len(bind(g).boundary_heads(mask)) == want
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.integers(0, 4), st.integers(0, 2))
+def test_greedy_output_verifies_and_is_minimal(g, which, k):
+    # sound: the output keeps every protected pair under every fault set;
+    # minimal: each kept edge is critical in the output itself
+    spec, pairs, whole = variant_checks(g)[which]
+    kept = greedy_preserver(g, spec, k).kept_edges
+    assert verify_ft_ref(g, kept, pairs, k, whole)
+    h = g.restrict_to(kept)
+    for eid in kept:
+        assert ft_critical_ref(h, eid, pairs, k, whole)
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.data(), st.integers(0, 2))
+def test_sscp_sandwich(g, data, k):
+    # S = sscp(G, u, k) preserves every G' with S <= G' <= G, greedy on G'
+    # returns S again, and the FptCache answers G' from G's entry
+    u = data.draw(st.integers(0, g.n - 1))
+    kept = sscp(g, u, k).kept_edges
+    extra = data.draw(st.frozensets(st.sampled_from(sorted(g.edge_ids()))))
+    mid = g.restrict_to(kept | extra)
+    pairs = [(u, v) for v in range(g.n) if v != u]
+    assert verify_ft_ref(g, kept, pairs, k)
+    assert verify_ft_ref(mid, kept, pairs, k)
+    assert sscp(mid, u, k).kept_edges == kept
+    cache = FptCache()
+    cache.sscp_for(g, u, k)
+    assert cache.sscp_for(mid, u, k) == kept
+    (entry,) = cache.sscp_entries.values()
+    assert entry[2] == frozenset(g.edges)  # reused, not recomputed on mid
+
+
+def _container_ref(g, terminals, q, k, seed):
+    """critical_edge_container with every draw made and every container
+    built: (edges, per-vertex terminals, distinct draws in draw order, the
+    keys (x, Y, budget, direction) of the containers that hold a cut)."""
+    U = sorted(terminals)
+    rng = random.Random(seed)
+    lam = sample_count(g.n)
+    draws = [
+        frozenset(U) if len(U) < q else frozenset(rng.sample(U, q)) for _ in range(lam)
+    ]
+    samples = tuple(dict.fromkeys(draws))
+    edges = set()
+    for u in U[: 5 * q * q]:
+        edges |= sscp(g, u, k).kept_edges
+    per_vertex = {}
+    with_cut = set()
+
+    def container(x, y_set, budget, direction):
+        res = important_cut_container(g, [x], y_set, budget, direction)
+        if res.cut is not None:
+            with_cut.add((x, y_set, budget, direction))
+        return res
+
+    for v in range(g.n):
+        side = set()
+        for q_set in samples:
+            if v not in q_set:
+                for direction in ("out", "in"):
+                    side |= container(v, q_set, k, direction).side
+        per_vertex[v] = frozenset(side) & terminals
+        for u in sorted(per_vertex[v] - {v}):
+            for direction in ("out", "in"):
+                edges |= container(u, frozenset([v]), k + 1, direction).boundary
+    return frozenset(edges), per_vertex, samples, with_cut
+
+
+@dataclass
+class AskedCache(FptCache):
+    """FptCache that records the container keys asked of it."""
+
+    asked: set = field(default_factory=set)
+
+    def container_side(self, g, x, y_set, k, direction):
+        self.asked.add((x, y_set, k, direction))
+        return super().container_side(g, x, y_set, k, direction)
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.data(), st.integers(1, 4), st.integers(0, 2))
+def test_container_matches_unfiltered_reference(g, data, q, k):
+    # a container skipped by a single-pair flow holds no cut, and draws
+    # after saturation add no sample
+    terminals = data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=1))
+    seed = data.draw(st.integers(0, 1 << 20))
+    cache = AskedCache()
+    report = critical_edge_container(g, terminals, q, k, seed, cache)
+    edges, per_vertex, samples, with_cut = _container_ref(g, terminals, q, k, seed)
+    assert with_cut <= cache.asked
+    assert report.per_vertex_terminals == per_vertex
+    assert report.edges == edges
+    assert report.sampled_sets == samples
+    assert report.draws <= report.sample_count
+    if report.draws < report.sample_count and len(terminals) > q:
+        assert len(samples) == comb(len(terminals), q)
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.integers(0, 5), st.data())
+def test_scan_remove_equals_fresh_bind(g, which, data):
+    # the view edited in place equals a bind of the smaller active set,
+    # also for self-loops and ids removed twice
+    oracle = ConnectivityOracle(g, _specs(g)[which])
+    scan = CriticalityScan(oracle, g.edge_ids(), 1)
+    ids = sorted(g.edge_ids())
+    for eid in data.draw(st.lists(st.sampled_from(ids), max_size=2 * len(ids))):
+        scan.remove(eid)
+        assert scan.view == oracle.bind(scan.active)
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.data())
+def test_minus_edge_equals_fresh_bind(g, data):
+    view, kept = bind(g), set(g.edge_ids())
+    for eid in data.draw(st.permutations(sorted(g.edge_ids()))):
+        edge = g.edge(eid)
+        view = view.minus_edge(edge.tail, edge.head)
+        kept.discard(eid)
+        fresh = bind(g.restrict_to(kept))
+        for name in fresh.__slots__:
+            assert getattr(view, name) == getattr(fresh, name), name
