@@ -43,12 +43,16 @@ def _off_path_slots(depth: int, leaf_slot: int):
     return off
 
 
+def _check_counts(x_count: int, y_count: int) -> None:
+    require_int("leaf count", x_count, 2)
+    if x_count & (x_count - 1):
+        raise InputError("leaf count must be a power of two, at least 2")
+    require_int("sink count", y_count, 1)
+
+
 def _tree_with_sinks(x_count: int, y_count: int):
     """Shared skeleton: out-tree to X leaves, all X x Y edges, Y back to root."""
-    if x_count < 2 or x_count & (x_count - 1):
-        raise InputError("leaf count must be a power of two, at least 2")
-    if y_count < 1:
-        raise InputError("need at least one sink vertex")
+    _check_counts(x_count, y_count)
     depth = x_count.bit_length() - 1
     tree_vertices = (1 << (depth + 1)) - 1
     n = tree_vertices + y_count
@@ -90,8 +94,7 @@ def gen_baswana_tree(k: int, y_count: int):
     """Depth-k out-tree with 2^k leaves, complete leaf-to-sink edges, sinks
     back to the root.  Every cross edge is k-fault critical; its witness is
     the k off-path sibling edges of its leaf."""
-    if k < 1:
-        raise InputError("k must be at least 1")
+    require_int("k", k, 1)
     g, meta = _tree_with_sinks(1 << k, y_count)
     meta["family"] = "baswana_tree"
     meta["k"] = k
@@ -114,9 +117,9 @@ def gen_st_lower(layers: int, k_even: int):
     share their boundary vertex, and one closing edge runs from t back to s.
     Each cross edge carries a witness of k/2 + k/2 off-path edges.
     """
-    if layers < 1:
-        raise InputError("need at least one layer")
-    if k_even < 2 or k_even % 2:
+    require_int("layers", layers, 1)
+    require_int("fault budget", k_even, 2)
+    if k_even % 2:
         raise InputError("fault budget must be even and at least 2")
     depth = k_even // 2
     block = (1 << (depth + 1)) - 1  # full binary tree size
@@ -183,10 +186,7 @@ def gen_color_fault_lower(x_count: int, y_count: int):
     so every edge of the final graph carries exactly one color.  Leaf-sink
     and return edges share the reserved color 0.
     """
-    if x_count < 2 or x_count & (x_count - 1):
-        raise InputError("leaf count must be a power of two, at least 2")
-    if y_count < 1:
-        raise InputError("need at least one sink vertex")
+    _check_counts(x_count, y_count)
     depth = x_count.bit_length() - 1
     tree_vertices = (1 << (depth + 1)) - 1
     leaves = _leaf_slots(depth)
@@ -247,8 +247,8 @@ def gen_random(
     them); without it, exactly m uniform tail/head pairs are drawn.
     Self-loops are never generated, parallel edges may be.
     """
-    if n < 0 or m < 0:
-        raise InputError("n and m must be nonnegative")
+    require_int("n", n, 0)
+    require_int("m", m, 0)
     require_int("seed", seed, 0)  # Random(-s) draws the same stream as Random(s)
     _guard_size(n)
     rng = random.Random(seed)

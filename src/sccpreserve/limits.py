@@ -1,15 +1,16 @@
 """Capability limits for exhaustive enumeration, overridable via environment.
 
 Every brute-force search in the package is guarded: if the enumeration would
-exceed the relevant limit we raise CapabilityError.  Sweeps are counted up
-front; the one best-first fault search (``variants.first_fault``), which
-runs the criticality, ``verify_ft`` and giant-component checks, counts the
-fault sets it visits.  Defaults are sized for desk-scale instances; each
-can be overridden with an environment variable, the only setting for it.
+exceed the relevant limit we raise CapabilityError.  Every fault-set
+question (criticality, ``verify_ft``, giant components, color families and
+1-bounded-degree matchings) runs on the one best-first search
+``variants.first_fault``, which counts the fault sets it visits; the side
+enumerations and the subset pairs of ``is_unbreakable`` are counted up
+front.  Defaults are sized for desk-scale instances; each can be overridden
+with an environment variable, the only setting for it.
 """
 
 import os
-from math import comb
 
 from .errors import CapabilityError, InputError
 
@@ -45,21 +46,6 @@ def exact_cut_limit() -> int:
 
 def max_enum_vertices() -> int:
     return _env_int("MAX_ENUM_VERTICES", DEFAULT_MAX_ENUM_VERTICES)
-
-
-def fault_set_count(m: int, k: int) -> int:
-    """Number of edge subsets of size at most k out of m edges."""
-    return sum(comb(m, i) for i in range(0, min(k, m) + 1))
-
-
-def guard_fault_sets(m: int, k: int) -> None:
-    cap = max_fault_sets()
-    count = fault_set_count(m, k)
-    if count > cap:
-        raise CapabilityError(
-            f"fault-set enumeration needs {count} subsets (m={m}, k={k}), "
-            f"limit is {cap}"
-        )
 
 
 def guard_side_enumeration(n: int) -> None:

@@ -11,20 +11,23 @@ the host graph: if F is one, so is F & E(H) (H - F does not change, and
 g - F can only gain connectivity), and F & E(H) comes no later than F in
 colex order.
 
-Every check under faults here reads states of the variants oracle's bound
-view, the strong fault-model sweeps and witness checks included.
+Color families and 1-bounded-degree matchings are searched the same way,
+through a translation of the search's nodes and hops into each universe
+(``verify_color_ft``, ``verify_bounded_degree_ft``), so every fault-set
+question here counts search nodes against ``limits.max_fault_sets()``.
+Every check under faults reads states of the variants oracle's bound view,
+the strong fault-model witness checks included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from . import limits
-from .digraph import DiGraph, mask_to_set
-from .errors import CapabilityError, InputError, require_int
+from .digraph import DiGraph, mask_to_set, set_to_mask
+from .errors import InputError, require_int
 from .flowcut import bind, boundary_edges
-from .variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
+from .variants import ConnectivityOracle, CriticalityScan, VariantSpec
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,8 @@ def _check_kept(g: DiGraph, kept_edges) -> frozenset:
 
 
 def _verdict(hit) -> VerifyResult:
-    """VerifyResult of a ``search_counterexample`` or ``first_counterexample``
-    hit (None means verified)."""
+    """VerifyResult of a ``(faults, pair)`` hit of ``search_counterexample``
+    (None means verified); faults are edge ids, or colors for families."""
     if hit is None:
         return VerifyResult(ok=True)
     faults, pair = hit
@@ -190,67 +193,105 @@ def _witness_stands(g: DiGraph, kept_edges, cross_edge: int, fault, s: int, y: i
     return cross_edge in kept
 
 
-def _bounded_degree_faults(g: DiGraph):
-    """Every 1-bounded-degree fault set as an edge-id tuple, in DFS preorder.
+def _search(g: DiGraph, kept, k: int, faults_of, lift):
+    """All-pairs ``search_counterexample`` over another fault universe.
 
-    Such a set touches each vertex at most once: a matching of g, self-loops
-    included.
+    A node is a set of that universe's ids; ``faults_of(node)`` gives the
+    edges it faults, and ``lift(node, hops)`` turns the hops of the edge
+    test's certificate (masks of H-edges) into masks of ids, leaving out any
+    hop that no node of the universe holds together with ``node``.
     """
-    edges = g.edges
 
-    def extend(idx: int, touched: int, chosen: tuple):
-        yield chosen
-        for j in range(idx, len(edges)):
-            e = edges[j]
-            ends = (1 << e.tail) | (1 << e.head)
-            if not ends & touched:
-                yield from extend(j + 1, touched | ends, chosen + (e.id,))
+    def translate(test):
+        def on_node(node, room):
+            hops = test(faults_of(node), room)
+            return True if hops is True else lift(node, hops or ())
 
-    return extend(0, 0, ())
+        return on_node
+
+    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
+    return oracle.search_counterexample(kept, k, translate)
 
 
 def verify_bounded_degree_ft(g: DiGraph, kept_edges) -> VerifyResult:
-    """Exhaustive 1-bounded-degree verification over the whole fault universe.
+    """Exact 1-bounded-degree verification over the whole fault universe.
 
-    Valid fault sets touch every vertex's incident edges at most once, so
-    they are enumerated as matchings of the incidence structure.  The
-    universe grows exponentially; a counting pass caps the number of fault
-    sets before any is checked, and the checking pass streams them.  The
-    witness checkers are the primary interface, this exhaustive form is for
-    tiny instances only.
+    A 1-bounded-degree fault set touches each vertex at most once: a
+    matching of g, self-loops included.  The counterexample is the
+    colex-first matching F under which H - F loses a pair that g - F keeps,
+    found by searching only matchings of the non-loop edges of H, which hold
+    at most n // 2 edges.  The witness checkers are the primary interface;
+    the search stops past ``limits.max_fault_sets()`` nodes.
+
+    Shrinking: if a matching w is a counterexample, so is w' = w & E(H)
+    minus self-loops.  H - w' equals H - w up to self-loops, which carry no
+    connectivity, and g - w' holds g - w, so it keeps every pair that g - w
+    keeps.  w' is a matching and comes no later than w in colex order, so
+    the colex-first counterexample of all of g lies in the searched
+    universe.
+
+    Matching filter: each node runs ``verify_ft``'s edge test.  Its
+    certificate's hops are kept only when a hop is one edge whose ends F
+    does not touch.  Every matching counterexample w that contains F holds
+    all of some hop; the edges of one hop share both ends, so that hop is a
+    single edge, and it joins F inside w, so F does not touch its ends.
+    Matchings are closed under subsets, so ``first_fault``'s lemma holds
+    over them.
     """
     kept = _check_kept(g, kept_edges)
-    cap = limits.max_fault_sets()
-    if sum(1 for _ in islice(_bounded_degree_faults(g), cap + 1)) > cap:
-        raise CapabilityError(f"1-bounded-degree fault universe exceeds {cap} sets")
-    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
-    return _verdict(oracle.first_counterexample(kept, _bounded_degree_faults(g)))
+    ends = {e.id: 1 << e.tail | 1 << e.head for e in g.edges}
+
+    def lift(fault, hops):
+        touched = 0
+        for eid in fault:
+            touched |= ends[eid]
+        return [h for h in hops if not h & (h - 1) and not ends[h.bit_length() - 1] & touched]
+
+    return _verdict(_search(g, kept, g.n // 2, lambda fault: fault, lift))
 
 
 def verify_color_ft(g: DiGraph, kept_edges, k: int = 1) -> VerifyResult:
-    """Exhaustive k-color-fault verification over all color families.
+    """Exact k-color-fault verification over all color families.
 
-    Every family of at most k colors fails together; the guard caps the
-    number of families.  Requires a fully colored graph.  A counterexample
-    names the failed color family, not its edges.
+    Every family of at most k colors fails together, faulting each of its
+    edges, of H and of g alike.  Requires a fully colored graph.  A
+    counterexample names the colex-first failed color family, not its
+    edges, and the search stops past ``limits.max_fault_sets()`` nodes.
+
+    Colors get ranks in sorted order, and a node is a set of ranks, so colex
+    order over rank bits is colex order over colors.  Each node runs
+    ``verify_ft``'s edge test on the edges of its colors.  A hop of its
+    certificate, the H-edges of one pair, becomes the OR of their colors'
+    bits: the pair loses its last H-edge exactly when all of those colors
+    fail, so the lifted hops certify the node as the edge hops do.
+
+    Narrowing still holds although a family also faults edges of g outside
+    H.  Let F' hold the node's colors and some more, and C_r be root r's
+    component in g - F for the node's faults F.  A closed walk of g - F'
+    through r stays inside C_r.  Each of its H-edges survives in H - F',
+    since an edge survives by its color alone.  Each of its edges outside H
+    has both ends in C_r, so it joins an X-pair inside C_r, which the
+    certificate's trees connect through r while their hops survive; a
+    faulted edge is not on the walk.  So r keeps its g - F' component in
+    H - F' unless F' kills a whole lifted hop, as ``search_counterexample``
+    needs.
     """
     require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
     if any(e.color is None for e in g.edges):
         raise InputError("color-fault verification needs every edge colored")
-    by_color: dict[int, set] = {}
-    for e in g.edges:
-        by_color.setdefault(e.color, set()).add(e.id)
-    colors = sorted(by_color)
-    limits.guard_fault_sets(len(colors), k)
+    colors = sorted({e.color for e in g.edges})
+    rank = {color: i for i, color in enumerate(colors)}
+    rank_of = {e.id: rank[e.color] for e in g.edges}
 
-    def edges_of(family):
-        return frozenset().union(*(by_color[c] for c in family))
+    def faults_of(family):
+        return [eid for eid, r in rank_of.items() if r in family]
 
-    oracle = ConnectivityOracle(g, VariantSpec.all_pairs())
-    return _verdict(
-        oracle.first_counterexample(kept, fault_sets_colex(colors, k), edges_of)
-    )
+    def lift(family, hops):
+        return [set_to_mask(map(rank_of.__getitem__, mask_to_set(hop))) for hop in hops]
+
+    hit = _search(g, kept, k, faults_of, lift)
+    return _verdict(hit and ([colors[r] for r in hit[0]], hit[1]))
 
 
 def verify_bounded_degree_witness(

@@ -6,6 +6,7 @@ no bitmasks, no residual graphs, no shared code with the library kernels.
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 
 def edge_list(g, banned=frozenset()):
@@ -157,6 +158,11 @@ def symmetric_connectivity_ref(g, s, t, k):
     return min(fwd, bwd, k)
 
 
+def fault_set_count(m, k):
+    """Number of edge subsets of size at most k out of m edges."""
+    return sum(comb(m, i) for i in range(0, min(k, m) + 1))
+
+
 def fault_sets_ref(edge_ids, k):
     """All fault sets of size <= k (unordered; for containment checks)."""
     ids = sorted(edge_ids)
@@ -244,6 +250,33 @@ def first_color_counterexample_ref(g, kept, k):
                     strongly_connected_pair_ref(g, h_banned, a, b)
                 ):
                     return (a, b), family
+    return None
+
+
+def first_bounded_degree_counterexample_ref(g, kept):
+    """(pair, fault) of the first matching of g (a fault set touching each
+    vertex at most once, self-loops included), in bitmask order, under which
+    H = g[kept] loses an all-pairs pair (row-major first) that g keeps.
+    None if H passes."""
+    kept = set(kept)
+    ends = {eid: {tail, head} for eid, tail, head in edge_list(g)}
+    matchings = [frozenset()]
+    for eid in sorted(ends):
+        matchings += [
+            fault | {eid}
+            for fault in matchings
+            if not any(ends[other] & ends[eid] for other in fault)
+        ]
+    for fault in sorted(matchings, key=lambda f: sum(1 << e for e in f)):
+        h_banned = fault | (set(g.edge_ids()) - kept)
+        if scc_sets_ref(g, fault) == scc_sets_ref(g, h_banned):
+            continue  # H - F lost no pair
+        for a in range(g.n):
+            for b in range(g.n):
+                if a != b and strongly_connected_pair_ref(g, fault, a, b) and not (
+                    strongly_connected_pair_ref(g, h_banned, a, b)
+                ):
+                    return (a, b), fault
     return None
 
 

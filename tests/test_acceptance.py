@@ -23,7 +23,6 @@ from sccpreserve.flowcut import farthest_min_cut, max_flow, symmetric_connectivi
 from sccpreserve.fpt import FptCache, fpt_container_all_pairs, fpt_preserver
 from sccpreserve.impcut import NO_SMALL_CUTS, check_anti_isolation, enumerate_important_cuts, important_cut_container
 from sccpreserve.kconn import demand_pairs, greedy_kconn_preserver
-from sccpreserve.limits import fault_set_count
 from sccpreserve.preservers import greedy_preserver, hierarchy_preserver
 from sccpreserve.variants import VariantSpec
 from sccpreserve.verify import (
@@ -36,7 +35,7 @@ from sccpreserve.verify import (
     verify_kconn_by_cuts,
 )
 
-from oracles import unbreakable_ref
+from oracles import fault_set_count, unbreakable_ref
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

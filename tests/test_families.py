@@ -137,3 +137,24 @@ def test_random_counts_and_no_self_loops():
     assert all(e.tail != e.head for e in g.edges)
     g2 = gen_random(6, 9, 2)
     assert g2.m == 9
+
+
+@pytest.mark.parametrize("count", [2.0, 2.5, True, "2"])
+def test_counts_are_ints(count):
+    # a float count used to raise a bare TypeError or ValueError, and True
+    # quietly counted as 1
+    calls = [
+        lambda: gen_random(count, 6, 1),
+        lambda: gen_random(4, count, 1),
+        lambda: gen_baswana_tree(count, 1),
+        lambda: gen_baswana_tree(1, count),
+        lambda: gen_bounded_degree_lower(count, 1),
+        lambda: gen_bounded_degree_lower(2, count),
+        lambda: gen_st_lower(count, 2),
+        lambda: gen_st_lower(1, count),
+        lambda: gen_color_fault_lower(count, 1),
+        lambda: gen_color_fault_lower(2, count),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()

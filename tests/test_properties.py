@@ -29,11 +29,19 @@ from sccpreserve.fpt import FptCache, critical_edge_container, sample_count
 from sccpreserve.impcut import enumerate_important_cuts, important_cut_container
 from sccpreserve.preservers import greedy_preserver, sscp
 from sccpreserve.variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
-from sccpreserve.verify import verify_bounded_degree_witness, verify_color_witness, verify_ft
+from sccpreserve.verify import (
+    verify_bounded_degree_ft,
+    verify_bounded_degree_witness,
+    verify_color_ft,
+    verify_color_witness,
+    verify_ft,
+)
 
 from conftest import variant_checks
 from oracles import (
     fault_sets_ref,
+    first_bounded_degree_counterexample_ref,
+    first_color_counterexample_ref,
     first_counterexample_ref,
     ft_critical_ref,
     is_strongly_connected_ref,
@@ -121,6 +129,15 @@ def test_bound_state_matches_reference(g, split, which, data):
     assert tuple(mask_to_set(comp) for comp in got) == want
 
 
+def _outcome(res):
+    cex = res.counterexample
+    return (True, None, None) if cex is None else (res.ok, cex.pair, cex.faults)
+
+
+def _expected(ref):
+    return (True, None, None) if ref is None else (False, *ref)
+
+
 @PROPERTY
 @given(loopy_multigraphs(), st.booleans(), st.integers(0, 4), st.integers(0, 3), st.data())
 def test_verify_ft_matches_reference(g, cycle, which, k, data):
@@ -146,11 +163,33 @@ def test_verify_ft_matches_reference(g, cycle, which, k, data):
     if kept:
         candidates.append(kept - {data.draw(st.sampled_from(sorted(kept)))})
     for cand in candidates:
-        res = verify_ft(g, cand, spec, k)
-        cex = res.counterexample
-        got = (True, None, None) if cex is None else (res.ok, cex.pair, cex.faults)
-        ref = first_counterexample_ref(g, cand, pairs, k, global_variant)
-        assert got == ((True, None, None) if ref is None else (False, *ref))
+        got = _outcome(verify_ft(g, cand, spec, k))
+        assert got == _expected(first_counterexample_ref(g, cand, pairs, k, global_variant))
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.booleans(), st.integers(0, 3), st.data())
+def test_other_fault_universes_match_reference(g, cycle, k, data):
+    # (ok, pair, faults) of the color-family and 1-bounded-degree searches
+    # against sweeps over every family and every matching of g.  Four colors
+    # on a multigraph give pairs whose edges differ in color, so a pair dies
+    # only when several colors fail.  H is g, g without one edge (often one
+    # of a parallel pair), a random subset, or g without its self-loops.
+    if cycle:
+        g = g.add_edges([(v, (v + 1) % g.n) for v in range(g.n)])
+    colors = data.draw(st.lists(st.integers(0, 3), min_size=g.m, max_size=g.m))
+    colored = DiGraph(g.n, [(e.tail, e.head, c) for e, c in zip(g.edges, colors)])
+    ids = sorted(g.edge_ids())
+    for cand in (
+        frozenset(ids),
+        frozenset(ids) - {data.draw(st.sampled_from(ids))},
+        data.draw(st.frozensets(st.sampled_from(ids))),
+        frozenset(e.id for e in g.edges if e.tail != e.head),
+    ):
+        got = _outcome(verify_color_ft(colored, cand, k))
+        assert got == _expected(first_color_counterexample_ref(colored, cand, k))
+        got = _outcome(verify_bounded_degree_ft(g, cand))
+        assert got == _expected(first_bounded_degree_counterexample_ref(g, cand))
 
 
 @PROPERTY

@@ -6,7 +6,6 @@ from sccpreserve import variants
 from sccpreserve.digraph import DiGraph, shortest_path
 from sccpreserve.errors import CapabilityError, InputError
 from sccpreserve.expander import giant_component_check
-from sccpreserve.limits import fault_set_count
 from sccpreserve.variants import (
     ConnectivityOracle,
     CriticalityScan,
@@ -15,7 +14,7 @@ from sccpreserve.variants import (
 )
 
 from conftest import loopy_multigraph, variant_checks
-from oracles import scc_sets_ref
+from oracles import fault_set_count, scc_sets_ref
 
 
 def test_colex_order_is_ascending_bitmask():

@@ -4,7 +4,6 @@ import pytest
 
 from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import CapabilityError, InputError
-from sccpreserve.limits import fault_set_count
 from sccpreserve.preservers import greedy_preserver
 from sccpreserve.families import (
     gen_bounded_degree_lower,
@@ -24,7 +23,12 @@ from sccpreserve.verify import (
 )
 
 from conftest import bidirected_triangle, loopy_multigraph, three_cycle, variant_checks
-from oracles import first_color_counterexample_ref, first_counterexample_ref, verify_ft_ref
+from oracles import (
+    fault_set_count,
+    first_color_counterexample_ref,
+    first_counterexample_ref,
+    verify_ft_ref,
+)
 
 
 def all_pairs_of(g):
@@ -290,12 +294,22 @@ def test_full_bounded_degree_universe_verification(monkeypatch):
     res = verify_bounded_degree_ft(g, g.edge_ids() - {eid})
     assert not res.ok
     assert res.counterexample.pair is not None
+    # the cap counts search nodes.  A tripled cross edge with two copies
+    # kept (no matching faults both) passes, and a dropped cross edge fails;
+    # both searches see more than two fault sets.  H = g searches nothing.
+    big, meta = gen_bounded_degree_lower(8, 2)
+    cross = big.edge(meta["cross_edges"][0])
+    tripled = big.add_edges([(cross.tail, cross.head)] * 2)
+    passing = tripled.edge_ids() - {cross.id}
+    failing = big.edge_ids() - {cross.id}
+    assert verify_bounded_degree_ft(tripled, passing).ok
+    assert not verify_bounded_degree_ft(big, failing).ok
     monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "2")
+    assert verify_bounded_degree_ft(big, big.edge_ids()).ok
     with pytest.raises(CapabilityError):
-        verify_bounded_degree_ft(g, g.edge_ids())
-    # the cap holds before any fault set is checked, even for a failing H
+        verify_bounded_degree_ft(tripled, passing)
     with pytest.raises(CapabilityError):
-        verify_bounded_degree_ft(g, g.edge_ids() - {eid})
+        verify_bounded_degree_ft(big, failing)
 
 
 def test_full_color_universe_verification():
