@@ -368,24 +368,37 @@ def scc(g: DiGraph) -> SccPartition:
     """Strongly connected components with a topologically sorted condensation.
 
     Components are numbered in topological order: every edge goes from a
-    component to an equal-or-later one.
+    component to an equal-or-later one.  The order is a contract: by
+    descending size of the out-reach of the component's lowest vertex, ties
+    by that vertex.  Descending reach size is topological: if C reaches a
+    different component D, C's reach strictly contains D's.
+
+    Each component costs one out-reach and one in-reach from its lowest
+    vertex, whose meet is the component; every vertex of a component has
+    the same out-reach, so no closure is needed.
     """
-    closure = closure_masks(out_masks(g))
-    comp_masks = _components(closure)
-    seen = {}
-    for v in range(g.n):
-        if comp_masks[v] not in seen:
-            seen[comp_masks[v]] = v
-    # Descending reach-size is a valid topological order: if C can reach D
-    # then C's reach strictly contains D's.
-    ordered = sorted(
-        seen,
-        key=lambda mask: (-(closure[seen[mask]].bit_count()), seen[mask]),
-    )
-    index = {mask: i for i, mask in enumerate(ordered)}
-    component_of = tuple(index[comp_masks[v]] for v in range(g.n))
-    components = tuple(mask_to_set(mask) for mask in ordered)
-    return SccPartition(component_of=component_of, components=components)
+    out = [0] * g.n
+    inn = [0] * g.n
+    for e in g.edges:
+        out[e.tail] |= 1 << e.head
+        inn[e.head] |= 1 << e.tail
+    found = []  # (-reach size, lowest vertex, component mask)
+    left = (1 << g.n) - 1
+    while left:
+        low = left & -left
+        reach = reach_mask(out, low)
+        comp = reach & reach_mask(inn, low)
+        left &= ~comp
+        found.append((-reach.bit_count(), low.bit_length() - 1, comp))
+    found.sort()
+    component_of = [0] * g.n
+    components = []
+    for i, (_, _, comp) in enumerate(found):
+        members = mask_to_set(comp)
+        for v in members:
+            component_of[v] = i
+        components.append(members)
+    return SccPartition(component_of=tuple(component_of), components=tuple(components))
 
 
 # -- text format ------------------------------------------------------------

@@ -348,7 +348,7 @@ class ExpanderHierarchy:
 
 
 def _expanding_terminals(
-    sub: DiGraph, params: HierarchyParams, cut_cap: int, rng, state
+    sub: DiGraph, params: HierarchyParams, cut_cap: int, state: dict
 ) -> set:
     """Shrink U = V(sub) along sparse cuts until it is phi-expanding.
 
@@ -357,6 +357,8 @@ def _expanding_terminals(
     :func:`sparsest_cut_wrt` runs, so each round finds the same cut.  Each
     round passes the masks it scanned to the next: the terminal set strictly
     shrinks (or the loop raises), so the next round's bound is no larger.
+    Past ``cut_cap`` the heuristic cuts draw from ``state["rng"]``, created
+    at the build's first heuristic cut.  Of ``params`` only ``phi`` is read.
     """
     exact = sub.n <= cut_cap
     table = _boundary_table(sub) if exact else None
@@ -370,7 +372,9 @@ def _expanding_terminals(
             cut = None if mask is None else make_cut(sub, mask_to_set(mask))
         else:
             state["exact"] = False
-            cut = _heuristic_sparse_cut(sub, terminals, params.phi, rng)
+            if "rng" not in state:
+                state["rng"] = random.Random(0)
+            cut = _heuristic_sparse_cut(sub, terminals, params.phi, state["rng"])
         if cut is None:
             break
         side = cut.side
@@ -398,8 +402,10 @@ def build_hierarchy(
     Each level's terminal set is phi-expanding inside every SCC of the
     prefix-induced subgraph, hence (q, k)-unbreakable there.  Subgraphs
     past ``limits.exact_cut_limit()`` vertices, read once per build, get
-    heuristic sparse cuts, drawn from one rng seeded with 0 so that a
-    build is deterministic, and clear ``exact``.
+    heuristic sparse cuts, drawn from one rng seeded with 0 (created at
+    the first such cut) so that a build is deterministic, and clear
+    ``exact``.  Without certificates a build reads of ``params`` only
+    ``phi``; the rest is carried into the result.
 
     The levels come from a recursion on strongly connected graphs: g is
     split into SCCs once, and each node's rest graph (its vertices minus its
@@ -411,19 +417,21 @@ def build_hierarchy(
     with its id and color, and its ``to_parent`` is ascending, so the
     vertices rank the same in both.  A graph induced on all of its parent's
     vertices is the parent itself, so a strongly connected g is not copied
-    for its split, its last prefix or that prefix's one SCC.  With
+    for its split, its last prefix or that prefix's one SCC, and the last
+    prefix, all of V, reuses the split's ``scc(g)``.  With
     ``verify_certificates`` each piece's terminals go through the
     unbreakability oracle (desk-scale only).
     """
     state = {"exact": True}
-    ctx = (params, limits.exact_cut_limit(), random.Random(0), state)
-    levels = tuple(frozenset(s) for s in _split(g, tuple(range(g.n)), ctx))
+    ctx = (params, limits.exact_cut_limit(), state)
+    top = scc(g)
+    levels = tuple(frozenset(s) for s in _split(g, tuple(range(g.n)), ctx, top))
     pieces = []
     prefix: set = set()
     for i, level in enumerate(levels, start=1):
         prefix |= level
         sub, p_to_parent = g.induced(prefix)
-        for comp in scc(sub).components:
+        for comp in (top if sub is g else scc(sub)).components:
             component = frozenset(p_to_parent[v] for v in comp)
             terminals = component & level
             if not terminals:
@@ -443,13 +451,14 @@ def build_hierarchy(
     )
 
 
-def _split(sub: DiGraph, to_parent: tuple, ctx: tuple) -> list[set]:
+def _split(sub: DiGraph, to_parent: tuple, ctx: tuple, parts=None) -> list[set]:
     """The levels of sub, deepest first, numbered by ``to_parent``.
 
-    ``ctx`` holds the arguments after the graph of ``_expanding_terminals``.
+    ``ctx`` holds the arguments after the graph of ``_expanding_terminals``;
+    ``parts``, when given, is ``scc(sub)``.
     """
     stacks = []
-    for comp in scc(sub).components:
+    for comp in (parts or scc(sub)).components:
         piece, local = sub.induced(comp)
         piece_to_parent = tuple(to_parent[v] for v in local)
         local_top = _expanding_terminals(piece, *ctx)

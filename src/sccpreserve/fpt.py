@@ -14,28 +14,39 @@ single-pair flow already shows to be empty is not built at all.
 All randomness flows from one recorded seed, so identical inputs give
 identical outputs.  A :class:`FptCache` can be shared across calls.  It
 reuses a single-source preserver S = sscp(G, u, k) for every graph G' with
-S <= G' <= G, where greedy provably returns S again.  In the decremental
-loop of :func:`fpt_preserver` the removed edge lies outside the container,
-which holds every S it was built from, so most lookups reuse.  Important-cut
-container sides, the bound flow views they run on, single-pair flows and
-expander hierarchies are memoized by graph content; each is reused only by
-a later call on the same graph.  Caching never changes any result.
+S <= G' <= G, where greedy provably returns S again (the sandwich rule).
+In the decremental loop of :func:`fpt_preserver` the removed edge lies
+outside the container, which holds every S it was built from, so most
+lookups reuse.  The roots of a piece that no entry answers are computed
+together, by one grouped greedy scan (``preservers.sscp_group``): roots
+whose runs have removed the same edges share one current graph and one
+criticality search per edge, and one table of G - F's root components
+serves them all, since each root's greedy graph keeps that root's
+component of G - F for |F| <= k.  Important-cut container sides (as vertex
+masks), the bound flow views they run on, single-pair flows and expander
+hierarchies are memoized by graph content; each is reused only by a later
+call on the same graph, a hierarchy also across k.  Caching never changes
+any result.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, comb, log, sqrt
 
 from . import limits
-from .digraph import DiGraph
+from .digraph import DiGraph, mask_to_set, set_to_mask
 from .errors import InputError, require_int
 from .expander import HierarchyParams, build_hierarchy
-from .flowcut import FlowView, bind
-from .impcut import important_cut_container
-from .preservers import PreserverResult, is_ft_critical, sscp
+from .flowcut import FlowView, bind, boundary_edges
+from .impcut import container_sides
+from .preservers import PreserverResult, is_ft_critical, sscp_group
+
+# Unused here; perfbench/tracer.py wraps these two names where fpt binds them.
+from .impcut import important_cut_container  # noqa: F401
+from .preservers import sscp  # noqa: F401
 from .variants import VariantSpec
 
 
@@ -50,32 +61,36 @@ class FptCache:
     a graph g exactly when S <= E(g) <= E(G).  Records are compared whole
     (id, tail, head, color), so graphs whose ids coincide but whose edges
     differ never share an entry.  A recomputation replaces the entry; g = G
-    is the exact hit.
+    is the exact hit.  :meth:`fill` computes every root of a piece that no
+    entry answers in one grouped scan (``preservers.sscp_group``, whose
+    docstring has the lemma), and :meth:`sscp_for` is the per-root lookup.
 
-    The reuse is exact: greedy sscp(G', u, k) = S whenever S <= G' <= G.
-    Let e_1 < e_2 < ... be the edge ids of G and H_i the greedy graph on G
-    before e_i is scanned; H'_i is the run on G' (edges outside G' are
-    skipped).  By induction S <= H'_i <= H_i <= G.  S is a k-FT preserver
-    of G, so by the sandwich lemma (a graph between S - F and G - F has
-    their connectivity) it preserves H_i and H'_i.  If e_i is not in S,
-    S <= H'_i - e_i, so H'_i - e_i preserves H'_i: e_i is not critical in
-    H'_i and is removed, as it was from H_i.  If e_i is in S, it was critical
-    in H_i with a witness F, a pair connected in H_i - F but not in
-    H_i - F - e_i.  As S preserves H_i, the pair is connected in
+    The reuse (the sandwich rule) is exact: greedy sscp(G', u, k) = S
+    whenever S <= G' <= G.  Let e_1 < e_2 < ... be the edge ids of G and H_i
+    the greedy graph on G before e_i is scanned; H'_i is the run on G'
+    (edges outside G' are skipped).  By induction S <= H'_i <= H_i <= G.  S
+    is a k-FT preserver of G, so by the sandwich lemma (a graph between
+    S - F and G - F has their connectivity) it preserves H_i and H'_i.  If
+    e_i is not in S, S <= H'_i - e_i, so H'_i - e_i preserves H'_i: e_i is
+    not critical in H'_i and is removed, as it was from H_i.  If e_i is in
+    S, it was critical in H_i with a witness F, a pair connected in H_i - F
+    but not in H_i - F - e_i.  As S preserves H_i, the pair is connected in
     S - F <= H'_i - F, and it is not in H'_i - F - e_i <= H_i - F - e_i, so
     F & E(H'_i) witnesses e_i in H'_i and e_i is kept.  The run on G'
     therefore ends at S.
 
-    Important-cut container sides, bound flow views, single-pair flows and
-    expander hierarchies are memoized by graph content: a graph hashes and
-    compares by its signature, so only an identical graph hits.  Each is a
-    deterministic function of the graph and its other arguments; a
-    hierarchy also depends on ``limits.exact_cut_limit()``, which joins its
-    key.  A memoized hierarchy hands out the same piece graphs on every hit,
-    so keys built on them match by identity before any signature is
-    compared.  A piece keeps one :class:`FlowView` per direction, on which
-    every container side of that piece and direction runs, and one table of
-    single-pair flows per k.
+    Important-cut container sides (vertex masks), bound flow views,
+    single-pair flows and expander hierarchies are memoized by graph
+    content: a graph hashes and compares by its signature, so only an
+    identical graph hits.  Each is a deterministic function of the graph
+    and its other arguments.  A hierarchy built without certificates reads
+    only ``params.phi`` and ``limits.exact_cut_limit()``, so those two key
+    it, and a hit under other params is handed out with them.  A memoized
+    hierarchy hands out the same piece graphs on every hit, so keys built
+    on them match by identity before any signature is compared.  A piece
+    keeps one :class:`FlowView` per direction, on which every container
+    side of that piece and direction runs, and one table of single-pair
+    flows per k.
 
     One :func:`critical_edge_container` call asks each container key once,
     so container sides hit only across calls on the same graph: every seed
@@ -88,27 +103,53 @@ class FptCache:
     hierarchies: dict = field(default_factory=dict)
     views: dict = field(default_factory=dict)
     flows: dict = field(default_factory=dict)
+    last_records: tuple = (None, frozenset())  # (graph, its edge records)
+
+    def _reused(self, key: tuple, g: DiGraph) -> frozenset | None:
+        """The entry's preserver when it answers for g, else None."""
+        entry = self.sscp_entries.get(key)
+        if entry is None:
+            return None
+        if self.last_records[0] is not g:
+            self.last_records = (g, frozenset(g.edges))
+        kept, kept_records, host_records = entry
+        if kept_records <= self.last_records[1] <= host_records:
+            return kept
+        return None
+
+    def fill(self, g: DiGraph, roots, k: int, scope: tuple | None = None) -> list:
+        """Compute, in one grouped scan, the roots that no entry answers.
+
+        Returns those roots; each gets a new entry hosted on g.
+        """
+        scope = tuple(range(g.n)) if scope is None else scope
+        missing = [u for u in roots if self._reused((scope, u, k), g) is None]
+        if missing:
+            records = frozenset(g.edges)
+            for u, kept in sscp_group(g, missing, k).items():
+                kept_records = frozenset(g.edge(i) for i in kept)
+                self.sscp_entries[scope, u, k] = (kept, kept_records, records)
+        return missing
 
     def sscp_for(
         self, g: DiGraph, u: int, k: int, scope: tuple | None = None
     ) -> frozenset:
+        """sscp(g, u, k).kept_edges, from an entry or from :meth:`fill`."""
         key = (tuple(range(g.n)) if scope is None else scope, u, k)
-        records = frozenset(g.edges)
-        entry = self.sscp_entries.get(key)
-        if entry is not None:
-            kept, kept_records, host_records = entry
-            if kept_records <= records <= host_records:
-                return kept
-        kept = sscp(g, u, k).kept_edges
-        self.sscp_entries[key] = (kept, frozenset(g.edge(i) for i in kept), records)
+        kept = self._reused(key, g)
+        if kept is None:
+            self.fill(g, (u,), k, scope)
+            kept = self.sscp_entries[key][0]
         return kept
 
     def hierarchy(self, g: DiGraph, params: HierarchyParams):
-        key = (g, params, limits.exact_cut_limit())
+        key = (g, params.phi, limits.exact_cut_limit())
         hit = self.hierarchies.get(key)
         if hit is None:
             hit = build_hierarchy(g, params, verify_certificates=False)
             self.hierarchies[key] = hit
+        elif hit.params != params:
+            hit = replace(hit, params=params)
         return hit
 
     def view(self, g: DiGraph, direction: str) -> FlowView:
@@ -123,35 +164,79 @@ class FptCache:
         key = (g, k)
         hit = self.flows.get(key)
         if hit is None:
-            hit = self.flows[key] = PairFlows(self.view(g, "out"), k + 2)
+            hit = self.flows[key] = PairFlows(self.view(g, "out"), k)
         return hit
 
-    def container_side(self, g, x, y_set, k, direction):
+    def container_side(self, g, x, y_set, k, direction) -> int:
+        """The side mask of ``important_cut_container(g, [x], y_set, k,
+        direction)``, 0 when it holds no cut, from the mask rounds of
+        ``impcut.container_sides`` on the piece's bound view."""
         key = (g, x, y_set, k, direction)
         hit = self.containers.get(key)
         if hit is None:
-            res = important_cut_container(
-                g, [x], y_set, k, direction, self.view(g, direction)
+            sides, _ = container_sides(
+                self.view(g, direction), 1 << x, set_to_mask(y_set), k
             )
-            hit = self.containers[key] = (res.side, res.boundary)
+            hit = self.containers[key] = sides[-1] if sides else 0
         return hit
 
 
-class PairFlows(dict):
-    """min(flow(a, b), cap) of one bound graph, keyed (a, b), each computed
-    on its first read."""
+class PairFlows:
+    """min(flow(a, b), k + 2) of one bound graph, each computed on its first
+    read, with per-vertex masks of the pairs known and of those above k.
 
-    __slots__ = ("view", "cap")
+    Every read is compared with k or k + 1, so a pair whose degree bound,
+    min(capacity out of a, capacity into b), is at most k reads as that
+    bound and needs no flow: each edge-disjoint a -> b path leaves a and
+    enters b by an edge of its own, so the flow never exceeds the bound,
+    and both comparisons come out as they would for the flow.
 
-    def __init__(self, view: FlowView, cap: int):
-        super().__init__()
+    ``known["out"][a]``/``over["out"][a]`` hold the b with flow(a, b)
+    computed / above k, ``known["in"][b]``/``over["in"][b]`` the a with
+    flow(a, b) computed / above k.  :meth:`exceeds` reads the masks first
+    and computes only unknown pairs, in ascending vertex order, until one
+    is above k: which flows get computed may depend on the order of the
+    tests, but every answer is the one a full table gives.
+    """
+
+    __slots__ = ("view", "k", "values", "known", "over", "out_cap")
+
+    def __init__(self, view: FlowView, k: int):
+        n = view.n
         self.view = view
-        self.cap = cap
+        self.k = k
+        self.values: dict = {}
+        self.out_cap = [sum(view.cap[a * n:(a + 1) * n]) for a in range(n)]
+        self.known = {"out": [0] * n, "in": [0] * n}
+        self.over = {"out": [0] * n, "in": [0] * n}
 
-    def __missing__(self, pair):
-        a, b = pair
-        value = self[pair] = self.view.value(1 << a, 1 << b, self.cap)
+    def value(self, a: int, b: int) -> int:
+        value = self.values.get((a, b))
+        if value is None:
+            value = min(self.out_cap[a], self.view.into[b])
+            if value > self.k:
+                value = self.view.value(1 << a, 1 << b, self.k + 2)
+            self.values[a, b] = value
+            self.known["out"][a] |= 1 << b
+            self.known["in"][b] |= 1 << a
+            if value > self.k:
+                self.over["out"][a] |= 1 << b
+                self.over["in"][b] |= 1 << a
         return value
+
+    def exceeds(self, v: int, q_mask: int, direction: str) -> bool:
+        """Some u in the mask has flow(v, u) > k (``'out'``) or
+        flow(u, v) > k (``'in'``)."""
+        if q_mask & self.over[direction][v]:
+            return True
+        bits = q_mask & ~self.known[direction][v]
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            u = b.bit_length() - 1
+            if (self.value(v, u) if direction == "out" else self.value(u, v)) > self.k:
+                return True
+        return False
 
 
 def sample_count(n: int) -> int:
@@ -207,7 +292,9 @@ def critical_edge_container(
     in-container, whose transposed v -> Q flow is g's Q -> v flow, when
     some flow(u, v) does; a budget-(k+1) container from u to {v} is skipped
     when flow(u, v) (out) or flow(v, u) (in) exceeds k + 1.  The pair flows
-    are capped at k + 2, which decides both tests.
+    are capped at k + 2, which decides both tests.  A sampled side is only
+    unioned, so it stays a vertex mask; only the budget-(k+1) containers
+    read a boundary, the edges of g that leave (out) or enter (in) the side.
 
     Raises :class:`InputError` when some vertex collects more than
     2 * lambda * q terminals: the terminal set is not unbreakable enough
@@ -223,9 +310,10 @@ def critical_edge_container(
         cache = FptCache()
     if not U:
         return CriticalContainerReport(frozenset(), {}, (), 0, 0, seed, 0)
-    slice_size = min(5 * q * q, len(U))
+    roots = U[: min(5 * q * q, len(U))]
+    cache.fill(g, roots, k, scope)
     j_edges: set = set()
-    for u in U[:slice_size]:
+    for u in roots:
         j_edges |= cache.sscp_for(g, u, k, scope)
 
     lam = sample_count(g.n)
@@ -240,35 +328,34 @@ def critical_edge_container(
             samples[frozenset(rng.sample(U, q))] = None
             draws += 1
 
-    u_set = frozenset(U)
-    flow = cache.pair_flows(g, k)
+    u_mask = set_to_mask(U)
+    sample_masks = [(set_to_mask(q_set), q_set) for q_set in samples]
+    flows = cache.pair_flows(g, k)
     per_vertex: dict = {}
     container_edges: set = set(j_edges)
     bound = 2 * lam * q
     for v in range(g.n):
-        union_side: set = set()
-        for q_set in samples:
-            if v in q_set:
+        bit = 1 << v
+        union_side = 0
+        for q_mask, q_set in sample_masks:
+            if q_mask & bit:
                 continue
-            if all(flow[v, u] <= k for u in q_set):
-                union_side |= cache.container_side(g, v, q_set, k, "out")[0]
-            if all(flow[u, v] <= k for u in q_set):
-                union_side |= cache.container_side(g, v, q_set, k, "in")[0]
-        terminals_v = frozenset(union_side & u_set)
-        if len(terminals_v) > bound:
+            for direction in ("out", "in"):
+                if not flows.exceeds(v, q_mask, direction):
+                    union_side |= cache.container_side(g, v, q_set, k, direction)
+        terminals_v = union_side & u_mask
+        if terminals_v.bit_count() > bound:
             raise InputError(
-                f"|U_i|={len(terminals_v)} exceeds 2*lambda*q={bound}; "
+                f"|U_i|={terminals_v.bit_count()} exceeds 2*lambda*q={bound}; "
                 "terminal set was not unbreakable enough"
             )
-        per_vertex[v] = terminals_v
+        per_vertex[v] = mask_to_set(terminals_v)
         target = frozenset([v])
-        for u in sorted(terminals_v):
-            if u == v:
-                continue
-            if flow[u, v] <= k + 1:
-                container_edges |= cache.container_side(g, u, target, k + 1, "out")[1]
-            if flow[v, u] <= k + 1:
-                container_edges |= cache.container_side(g, u, target, k + 1, "in")[1]
+        for u in sorted(per_vertex[v] - {v}):
+            for direction, a, z in (("out", u, v), ("in", v, u)):
+                if flows.value(a, z) <= k + 1:
+                    side = cache.container_side(g, u, target, k + 1, direction)
+                    container_edges |= boundary_edges(g, mask_to_set(side), direction)
     return CriticalContainerReport(
         edges=frozenset(container_edges),
         per_vertex_terminals=per_vertex,

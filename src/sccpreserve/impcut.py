@@ -65,24 +65,35 @@ def important_cut_container(
     if direction not in ("out", "in"):
         raise InputError(f"bad direction {direction!r}")
     X, Y = _check_terminals(g, X, Y)
-    x_mask, y_mask = set_to_mask(X), set_to_mask(Y)
     if view is None:
         view = bind(g, reverse=direction == "in")
+    sides, lam = container_sides(view, set_to_mask(X), set_to_mask(Y), k)
+    if not sides:
+        return ContainerResult(NO_SMALL_CUTS, None, lam, None, ())
+    nested = tuple(mask_to_set(s) for s in sides)
+    return ContainerResult(OK, make_cut(g, nested[-1], direction), lam, k - lam, nested)
+
+
+def container_sides(view: FlowView, x_mask: int, y_mask: int, k: int):
+    """(nested side masks S_0 <= ... <= S_{k*}, flow value) on a bound view.
+
+    The rounds of :func:`important_cut_container`, on masks only: no cut,
+    no boundary and no result record.  The list is empty when the flow
+    exceeds k.  X and Y are checked by the caller.
+    """
     side, lam = view.farthest(x_mask, y_mask)
     if lam > k:
-        return ContainerResult(NO_SMALL_CUTS, None, lam, None, ())
-    k_star = k - lam
+        return [], lam
     sides = [side]
     heads: list[int] = []
-    for _ in range(k_star):
+    for _ in range(k - lam):
         # one unit source edge per boundary edge of the current cut,
         # counting previously added artificial edges that cross it too
         heads += [v for v in heads if not (side >> v) & 1]
         heads += view.boundary_heads(side)
         side, _ = view.farthest(x_mask, y_mask, heads)
         sides.append(side)
-    nested = tuple(mask_to_set(s) for s in sides)
-    return ContainerResult(OK, make_cut(g, nested[-1], direction), lam, k_star, nested)
+    return sides, lam
 
 
 def enumerate_important_cuts(

@@ -29,10 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import DiGraph
+from . import limits
+from .digraph import DiGraph, set_to_mask
 from .errors import InputError, require_int
 from .expander import HierarchyParams, build_hierarchy
-from .variants import ConnectivityOracle, CriticalityScan, VariantSpec
+from .variants import (
+    ConnectivityOracle,
+    CriticalityScan,
+    VariantSpec,
+    drop_edge,
+    first_fault,
+)
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,94 @@ def greedy_preserver(g: DiGraph, spec: VariantSpec, k: int) -> PreserverResult:
 def sscp(g: DiGraph, s: int, k: int) -> PreserverResult:
     """k-FT single-source connectivity preserver rooted at s (greedy)."""
     return greedy_preserver(g, VariantSpec.single_source(s), k)
+
+
+def sscp_group(g: DiGraph, roots, k: int) -> dict:
+    """``sscp(g, u, k).kept_edges`` for every root u, by one grouped scan.
+
+    The greedy runs of all roots scan the edges together.  Roots whose runs
+    have removed the same edges so far form a group and share its current
+    graph H, bound once as an edge view; each edge gets one criticality
+    search per group, and a group splits when the edge is critical for only
+    some of its roots: those keep it, the rest drop it.
+
+    Lemma: one table of g - F's root components, keyed by the fault,
+    serves every group.  Each deletion of a root u's run is non-critical
+    for u, so H is a k-FT single-source preserver of g for every root u of
+    its group, and comp_u(H - F) = comp_u(g - F) for |F| <= k.  Dropping
+    e = (a, b) from H - F shrinks comp_u only when that component holds a
+    and b (see ``ConnectivityOracle.changed``), so the roots at stake at F
+    are the group's roots in the component of g - F that holds both ends.
+    Whether a still reaches b in H - F - e, and so the path that certifies
+    a node, does not depend on the root; with no such path, the component
+    splits and every root at stake finds e critical.
+
+    The search is :func:`~sccpreserve.variants.first_fault`, whose test is
+    a hit once no root of the group is undecided.  Components only shrink
+    as F grows, so a node at which every root at stake is decided is a
+    prune; a node where a root at stake is undecided and the path survives
+    branches on the path's hops, as a single root's search would.  So each
+    undecided root u with a witness F* is decided: every visited subset of
+    F* has u at stake, and either decides it or has a hop inside F*, whose
+    child is a larger subset of F*.  A root is only decided at a node that
+    witnesses e for it.  Self-loops are never critical and every run drops
+    them.
+    """
+    require_int("k", k, 0)
+    roots = sorted(set(roots))
+    oracle = ConnectivityOracle(g, VariantSpec.sourcewise(roots))
+    if not roots:
+        return {}
+    view = oracle.bind(g.edge_ids())
+    changed = oracle.changed
+    cap = limits.max_fault_sets()
+    states: dict[tuple, tuple] = {}
+    groups = [(set_to_mask(roots), view.copy())]
+    for eid in sorted(view.drop):
+        tail, head, _ = view.drop[eid]
+        both = (1 << tail) | (1 << head)
+        split = []
+        for members, group_view in groups:
+            decided = 0
+            hops: list[int] = []
+
+            def test(fault, room):
+                nonlocal decided
+                state = states.get(fault)
+                if state is None:
+                    state = states[fault] = oracle.state(view, fault)
+                for comp in state:
+                    if comp & both == both:
+                        break
+                else:
+                    return None
+                if not comp & members & ~decided:
+                    return None
+                if room:
+                    hops.clear()
+                    if not changed(state, group_view, fault, eid, hops):
+                        return hops
+                elif not changed(state, group_view, fault, eid):
+                    return None
+                decided |= comp & members
+                return True if not members & ~decided else None
+
+            first_fault(test, k, cap, f"criticality search for edge {eid}")
+            if decided == members:
+                split.append((members, group_view))
+                continue
+            if decided:
+                split.append((decided, group_view))
+                group_view = group_view.copy()
+            split.append((members & ~decided, drop_edge(group_view, eid)))
+        groups = split
+    kept = {}
+    for members, group_view in groups:
+        edges = frozenset(group_view.drop)
+        for u in roots:
+            if members >> u & 1:
+                kept[u] = edges
+    return kept
 
 
 def hierarchy_preserver(

@@ -33,9 +33,11 @@ largest member.  Every "first witness" and "first counterexample" in the
 package is defined against this order, and all are found by one best-first
 search, :func:`first_fault`: a fault set that is not a hit either prunes
 every superset or branches only on the hops of a certificate, and the search
-still meets the colex-first hit first.  Three tests run on it.
+still meets the colex-first hit first.  Four tests run on it.
 :class:`CriticalityScan` (does dropping one edge break a protected pair?)
-certifies with the path that ``changed`` found.
+certifies with the path that ``changed`` found, and so does
+``preservers.sscp_group`` (for which roots of a group is the edge
+critical?), which stops once every root is decided.
 :meth:`ConnectivityOracle.search_counterexample` (does a subgraph lose a
 protected pair that the graph keeps?) certifies with trees of the subgraph
 that carry the graph's edges the subgraph dropped.
@@ -155,6 +157,10 @@ class EdgeView(NamedTuple):
     inn: tuple
     drop: dict
     pairs: dict
+
+    def copy(self) -> "EdgeView":
+        """The same view, with dicts of its own for :func:`drop_edge` to edit."""
+        return self._replace(drop=dict(self.drop), pairs=dict(self.pairs))
 
 
 class ConnectivityOracle:
@@ -502,10 +508,11 @@ class ConnectivityOracle:
 def first_fault(test, k: int, cap: int, what: str) -> tuple | None:
     """Colex-first fault set of at most k ids that ``test`` hits, or None.
 
-    One best-first search serves criticality (:class:`CriticalityScan`),
-    verification (:meth:`ConnectivityOracle.search_counterexample`, over
-    edges, color families or 1-bounded-degree matchings) and giant
-    components (``expander.giant_component_check``).  A node is a fault set
+    One best-first search serves criticality (:class:`CriticalityScan` and
+    ``preservers.sscp_group``), verification
+    (:meth:`ConnectivityOracle.search_counterexample`, over edges, color
+    families or 1-bounded-degree matchings) and giant components
+    (``expander.giant_component_check``).  A node is a fault set
     F of ids (edge ids, or color ranks), held as its bitmask and its
     ascending id tuple; nodes leave a heap in ascending bitmask order, which
     is colex order.  ``test(fault, room)``, with room = k - |F|, answers
@@ -646,30 +653,38 @@ class CriticalityScan:
     def remove(self, eid: int) -> None:
         """Drop an edge proved non-critical; cached states stay valid.
 
-        The view loses the edge in place and then equals a fresh bind of
-        the smaller active set: the edge leaves its hop, and the entries in
-        ``drop`` of the hop's other edges get the smaller hop.  When the hop
-        empties, no active edge joins its pair any more, so the pair's
-        ``pairs`` entry and its out- and in-mask bits go too.  A self-loop
-        or inactive id is in no hop and leaves the view as it is.
+        The view loses the edge in place (:func:`drop_edge`).
         """
         self.active.discard(eid)
-        view = self.view
-        entry = view.drop.pop(eid, None)
-        if entry is None:
-            return
-        tail, head, hop = entry
-        hop &= ~(1 << eid)
-        if hop:
-            view.pairs[tail, head] = hop
-            for other in _ids(hop):
-                view.drop[other] = (tail, head, hop)
-            return
-        del view.pairs[tail, head]
-        out, inn = list(view.out), list(view.inn)
-        out[tail] &= ~(1 << head)
-        inn[head] &= ~(1 << tail)
-        self.view = view._replace(out=tuple(out), inn=tuple(inn))
+        self.view = drop_edge(self.view, eid)
+
+
+def drop_edge(view: EdgeView, eid: int) -> EdgeView:
+    """The view less one edge, editing its ``drop`` and ``pairs`` in place.
+
+    The result equals a fresh bind of the smaller active set: the edge
+    leaves its hop, and the entries in ``drop`` of the hop's other edges get
+    the smaller hop.  When the hop empties, no active edge joins its pair
+    any more, so the pair's ``pairs`` entry and its out- and in-mask bits
+    go too, in a new tuple of masks.  A self-loop or inactive id is in no
+    hop and leaves the view as it is.  A caller that keeps the old view
+    passes ``view.copy()``.
+    """
+    entry = view.drop.pop(eid, None)
+    if entry is None:
+        return view
+    tail, head, hop = entry
+    hop &= ~(1 << eid)
+    if hop:
+        view.pairs[tail, head] = hop
+        for other in _ids(hop):
+            view.drop[other] = (tail, head, hop)
+        return view
+    del view.pairs[tail, head]
+    out, inn = list(view.out), list(view.inn)
+    out[tail] &= ~(1 << head)
+    inn[head] &= ~(1 << tail)
+    return view._replace(out=tuple(out), inn=tuple(inn))
 
 
 def _low_bit(mask: int) -> int:

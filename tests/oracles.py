@@ -40,6 +40,26 @@ def scc_sets_ref(g, banned=frozenset()):
     return comps
 
 
+def scc_order_ref(g):
+    """(component_of, components) in ``digraph.scc``'s documented order.
+
+    From the closure: every vertex's reach set, components by mutual
+    reachability, numbered by descending reach size of the component's
+    lowest vertex, ties by that vertex.
+    """
+    edges = edge_list(g)
+    reach = [reach_ref(g.n, edges, [v]) for v in range(g.n)]
+    lowest = {}
+    for v in range(g.n):
+        comp = frozenset(w for w in reach[v] if v in reach[w])
+        lowest.setdefault(comp, min(comp))
+    components = tuple(sorted(lowest, key=lambda c: (-len(reach[lowest[c]]), lowest[c])))
+    component_of = tuple(
+        next(i for i, comp in enumerate(components) if v in comp) for v in range(g.n)
+    )
+    return component_of, components
+
+
 def strongly_connected_pair_ref(g, banned, a, b):
     edges = edge_list(g, banned)
     return b in reach_ref(g.n, edges, [a]) and a in reach_ref(g.n, edges, [b])

@@ -209,7 +209,7 @@ def test_sparsest_cut_matches_reference():
     assert found > 50 and absent > 50
 
 
-def _expanding_terminals_fresh(sub, params, cut_cap, rng, state):
+def _expanding_terminals_fresh(sub, params, cut_cap, state):
     # the hierarchy's shrinking loop with one full search per round
     terminals = set(range(sub.n))
     while len(terminals) >= 2:

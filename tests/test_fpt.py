@@ -8,6 +8,7 @@ import pytest
 from sccpreserve import fpt
 from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import InputError
+from sccpreserve.expander import HierarchyParams
 from sccpreserve.families import gen_random
 from sccpreserve.fpt import (
     FptCache,
@@ -191,13 +192,16 @@ class CheckedCache(FptCache):
 
 
 def count_sscp_runs(monkeypatch) -> list:
+    """(n, root, k) of every root an FptCache computes instead of reusing."""
     runs = []
+    fill = FptCache.fill
 
-    def counted(g, u, k):
-        runs.append((g.n, u, k))
-        return sscp(g, u, k)
+    def counted(self, g, roots, k, scope=None):
+        missing = fill(self, g, roots, k, scope)
+        runs.extend((g.n, u, k) for u in missing)
+        return missing
 
-    monkeypatch.setattr(fpt, "sscp", counted)
+    monkeypatch.setattr(FptCache, "fill", counted)
     return runs
 
 
@@ -286,6 +290,34 @@ def test_interned_pieces_are_shared_and_change_nothing():
         # every container lookup ran on a piece object of the memoized hierarchy
         hosts = {id(key[0]) for key in cache.containers}
         assert hosts and hosts <= {id(piece.graph) for piece in pieces}
+
+
+def test_hierarchy_memo_serves_every_k(monkeypatch):
+    # a build without certificates reads phi only, so k = 2 reuses the
+    # build of k = 1's first graph, handed out with k = 2's params
+    built = []
+    build = fpt.build_hierarchy
+
+    def counted(g, params, verify_certificates=True):
+        built.append(g)
+        return build(g, params, verify_certificates)
+
+    monkeypatch.setattr(fpt, "build_hierarchy", counted)
+    for graph_seed in range(6):
+        g = gen_random(7, 16, 700 + graph_seed, ensure_strongly_connected=True)
+        cache = FptCache()
+        for k in (1, 2):
+            shared = fpt_preserver(g, k, seed=graph_seed, cache=cache)
+            fresh = fpt_preserver(g, k, seed=graph_seed)
+            assert (shared.kept_edges, shared.stats) == (fresh.kept_edges, fresh.stats)
+        assert Counter(built)[g] == 3  # k = 1 and k = 2 fresh, one shared
+        del built[:]
+        for k in (1, 2):
+            q, kh = container_params(g.n, k)
+            params = HierarchyParams(q=max(q, 2 * kh), k=kh)
+            hierarchy = cache.hierarchy(g, params)
+            assert hierarchy == build(g, params, verify_certificates=False)
+        assert not built
 
 
 @pytest.mark.parametrize("seed", [-5, 1.5, "5", True])

@@ -20,6 +20,7 @@ from sccpreserve.preservers import (
     hierarchy_preserver,
     is_ft_critical,
     sscp,
+    sscp_group,
     st_from_global,
 )
 from sccpreserve.variants import ConnectivityOracle, CriticalityScan, VariantSpec
@@ -52,6 +53,8 @@ def all_pairs_of(g):
             lambda g: check_anti_isolation(g, 0, [1], [frozenset()], 1.5), id="anti-isolation-k"
         ),
         pytest.param(lambda g: sscp(g, True, 1), id="bool-vertex"),
+        pytest.param(lambda g: sscp_group(g, [0, True], 1), id="group-vertex"),
+        pytest.param(lambda g: sscp_group(g, [0], 1.5), id="group-k"),
         pytest.param(lambda g: DiGraph(2.0), id="vertex-count"),
         pytest.param(lambda g: max_flow(g, [0], [3], 1.5), id="max-flow-cap"),
         pytest.param(lambda g: flow_value(g, [0], [3], -1), id="flow-cap"),
@@ -178,6 +181,22 @@ def test_sscp_unchanged_on_sandwiched_subgraphs():
                 assert sscp(sub, u, k).kept_edges == kept, (trial, k, u)
 
 
+def test_sscp_group_equals_sscp_on_larger_hosts():
+    # up to 9 vertices, strongly connected or not, loopy multigraphs, k 0-3
+    rng = random.Random(27)
+    for trial in range(60):
+        n = rng.randrange(2, 10)
+        if trial % 2:
+            g = loopy_multigraph(rng, n)
+        else:
+            g = gen_random(n, rng.randrange(n, 3 * n), 2700 + trial,
+                           ensure_strongly_connected=bool(trial % 3))
+        k = trial % 4
+        roots = rng.sample(range(n), rng.randrange(1, n + 1))
+        assert sscp_group(g, roots, k) == {u: sscp(g, u, k).kept_edges for u in roots}
+    assert sscp_group(g, [], 1) == {}
+
+
 def test_greedy_capability_guard(monkeypatch):
     # Each criticality search counts the fault sets it has seen; the largest
     # search on this host sees 11, of the C(19, <= 2) = 191 it could.
@@ -187,6 +206,8 @@ def test_greedy_capability_guard(monkeypatch):
     monkeypatch.setenv("SCC_PRESERVE_MAX_FAULT_SETS", "10")
     with pytest.raises(CapabilityError):
         greedy_preserver(g, VariantSpec.all_pairs(), 2)
+    with pytest.raises(CapabilityError, match="criticality search"):
+        sscp_group(g, range(g.n), 2)
 
 
 def test_is_ft_critical_validates_before_self_loops():

@@ -11,7 +11,7 @@ from math import comb
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sccpreserve.digraph import DiGraph, mask_to_set
+from sccpreserve.digraph import DiGraph, mask_to_set, scc
 from sccpreserve.expander import (
     HierarchyParams,
     build_hierarchy,
@@ -27,7 +27,7 @@ from sccpreserve.flowcut import (
 )
 from sccpreserve.fpt import FptCache, critical_edge_container, sample_count
 from sccpreserve.impcut import enumerate_important_cuts, important_cut_container
-from sccpreserve.preservers import greedy_preserver, sscp
+from sccpreserve.preservers import greedy_preserver, sscp, sscp_group
 from sccpreserve.variants import ConnectivityOracle, CriticalityScan, VariantSpec, fault_sets_colex
 from sccpreserve.verify import (
     verify_bounded_degree_ft,
@@ -46,6 +46,7 @@ from oracles import (
     ft_critical_ref,
     is_strongly_connected_ref,
     reachable_cut_ref,
+    scc_order_ref,
     scc_sets_ref,
     sparsest_cut_ref,
     strongly_connected_pair_ref,
@@ -71,6 +72,20 @@ def loopy_multigraphs(draw):
     at = draw(st.integers(0, len(edges)))
     edges[at:at] = [edges[0], (loop, loop)]
     return DiGraph(n, edges)
+
+
+@st.composite
+def wide_loopy_multigraphs(draw):
+    """Multigraphs on 0..12 vertices, with a parallel edge and a self-loop
+    when there is a vertex."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return DiGraph(0)
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3 * n))
+    loop = draw(vertex)
+    edges += [edges[0], (loop, loop)]
+    return DiGraph(n, draw(st.permutations(edges)))
 
 
 def _specs(g):
@@ -367,6 +382,21 @@ def test_in_important_cuts_match_reversed_graph(g, data, k):
 
 
 @PROPERTY
+@given(loopy_multigraphs(), st.data(), st.integers(0, 3))
+def test_container_side_masks_match_containers(g, data, k):
+    # the memoized mask rounds give the container's side, 0 for no cut
+    x, y = _terminal_pair(g, data)
+    extra = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+    targets = frozenset({y}) | (extra - {x})
+    cache = FptCache()
+    for direction in ("out", "in"):
+        res = important_cut_container(g, [x], targets, k, direction)
+        want = sum(1 << v for v in res.side)
+        assert cache.container_side(g, x, targets, k, direction) == want
+        assert (want == 0) == (res.cut is None)
+
+
+@PROPERTY
 @given(loopy_multigraphs(), st.data())
 def test_boundary_heads_count_boundary_edges(g, data):
     mask = data.draw(st.integers(0, (1 << g.n) - 1))
@@ -405,6 +435,26 @@ def test_sscp_sandwich(g, data, k):
     assert cache.sscp_for(mid, u, k) == kept
     (entry,) = cache.sscp_entries.values()
     assert entry[2] == frozenset(g.edges)  # reused, not recomputed on mid
+
+
+@PROPERTY
+@given(wide_loopy_multigraphs())
+def test_scc_order_matches_closure_reference(g):
+    part = scc(g)
+    assert (part.component_of, part.components) == scc_order_ref(g)
+
+
+@PROPERTY
+@given(loopy_multigraphs(), st.data(), st.integers(0, 3))
+def test_sscp_group_equals_per_root_runs(g, data, k):
+    # every root, or a random subset of them, on graphs that need not be
+    # strongly connected
+    every = data.draw(st.booleans())
+    roots = range(g.n) if every else data.draw(st.frozensets(st.integers(0, g.n - 1)))
+    kept = sscp_group(g, roots, k)
+    assert sorted(kept) == sorted(roots)
+    for u in roots:
+        assert kept[u] == sscp(g, u, k).kept_edges
 
 
 def _container_ref(g, terminals, q, k, seed):
