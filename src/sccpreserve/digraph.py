@@ -194,12 +194,8 @@ def _from_records(n: int, records) -> DiGraph:
 def out_masks(g: DiGraph, banned: frozenset = frozenset()) -> list[int]:
     """Per-vertex mask of out-neighbors, skipping banned edge ids."""
     adj = [0] * g.n
-    if banned:
-        for e in g.edges:
-            if e.id not in banned:
-                adj[e.tail] |= 1 << e.head
-    else:
-        for e in g.edges:
+    for e in g.edges:
+        if e.id not in banned:
             adj[e.tail] |= 1 << e.head
     return adj
 

@@ -243,14 +243,18 @@ def gen_random(
 ) -> DiGraph:
     """Seeded random multigraph; optionally on a random Hamiltonian backbone.
 
-    With the backbone, m counts total edges (the cycle contributes n of
-    them); without it, exactly m uniform tail/head pairs are drawn.
-    Self-loops are never generated, parallel edges may be.
+    With the backbone, m counts total edges: the n-cycle comes first and
+    max(0, m - n) uniform tail/head pairs follow, so m < n still gives the
+    whole cycle.  Without it, exactly m uniform pairs are drawn.  Self-loops
+    are never generated, parallel edges may be; so m > 0 needs n >= 2, and
+    InputError is raised otherwise.
     """
     require_int("n", n, 0)
     require_int("m", m, 0)
     require_int("seed", seed, 0)  # Random(-s) draws the same stream as Random(s)
     _guard_size(n)
+    if m and n < 2:
+        raise InputError(f"no edge without self-loops on n={n} vertices, asked m={m}")
     rng = random.Random(seed)
     edges = []
     if ensure_strongly_connected and n >= 2:

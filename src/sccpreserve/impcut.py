@@ -49,7 +49,7 @@ class ContainerResult:
 
 
 def important_cut_container(
-    g: DiGraph, X, Y, k: int, direction: str = "out", view: FlowView | None = None
+    g: DiGraph, X, Y, k: int, direction: str = "out"
 ) -> ContainerResult:
     """A single cut whose side contains every important (X, Y)-cut side.
 
@@ -58,15 +58,14 @@ def important_cut_container(
     out-reachable cuts of reverse(g), whose out-boundary heads are the
     tails of g's in-boundary, and edge ids are shared, so the boundary is
     reported against g directly.  No reversed graph is built.  A caller
-    that asks many containers of one graph passes ``view``, which must be
-    ``bind(g, reverse=direction == 'in')``; a query never changes a view.
+    that asks many containers of one graph runs :func:`container_sides` on
+    one bound view instead.
     """
     require_int("k", k, 0)
     if direction not in ("out", "in"):
         raise InputError(f"bad direction {direction!r}")
     X, Y = _check_terminals(g, X, Y)
-    if view is None:
-        view = bind(g, reverse=direction == "in")
+    view = bind(g, reverse=direction == "in")
     sides, lam = container_sides(view, set_to_mask(X), set_to_mask(Y), k)
     if not sides:
         return ContainerResult(NO_SMALL_CUTS, None, lam, None, ())

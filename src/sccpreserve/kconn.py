@@ -117,11 +117,11 @@ def greedy_kconn_preserver(
     require_int("k", k, 0)
     kept = set(g.edge_ids())
     oracle_calls = 0
+    view = bind(g)
     if use_demand_pairs:
         targets = demand_pairs(g, k).pairs
     else:
-        targets = bind(g).symmetric_pairs(k)
-    view = bind(g)
+        targets = view.symmetric_pairs(k)
     for e in g.edges:
         if e.tail != e.head:
             oracle_calls += 1

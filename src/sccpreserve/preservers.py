@@ -149,7 +149,7 @@ def sscp_group(g: DiGraph, roots, k: int) -> dict:
     states: dict[tuple, tuple] = {}
     groups = [(set_to_mask(roots), view.copy())]
     for eid in sorted(view.drop):
-        tail, head, _ = view.drop[eid]
+        tail, head = view.drop[eid]
         both = (1 << tail) | (1 << head)
         split = []
         for members, group_view in groups:
@@ -195,12 +195,10 @@ def sscp_group(g: DiGraph, roots, k: int) -> dict:
     return kept
 
 
-def hierarchy_preserver(
-    g: DiGraph, k: int, params: HierarchyParams | None = None
-) -> PreserverResult:
+def hierarchy_preserver(g: DiGraph, k: int) -> PreserverResult:
     """All-pairs preserver via sourcewise preservers over an expander hierarchy.
 
-    Default parameters follow the existential construction: a hierarchy for
+    The parameters follow the existential construction: a hierarchy for
     (2k, k)-unbreakable sets (phi = 1/2), then one greedy sourcewise
     preserver per (level, SCC of the prefix graph), unioned over all levels.
     ``stats["exact"]`` is the hierarchy's flag: False when some sparse cut
@@ -212,9 +210,8 @@ def hierarchy_preserver(
             frozenset(), "all_pairs", {"k": k},
             {"input_edges": 0, "output_edges": 0, "exact": True}, "hierarchy",
         )
-    if params is None:
-        # k=0 still needs valid params; the level structure depends on phi only
-        params = HierarchyParams(q=max(2 * k, 2), k=max(k, 1))
+    # k=0 still needs valid params; the level structure depends on phi only
+    params = HierarchyParams(q=max(2 * k, 2), k=max(k, 1))
     hierarchy = build_hierarchy(g, params, verify_certificates=False)
     kept: set = set()
     pieces = hierarchy.certificates

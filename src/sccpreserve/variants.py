@@ -56,7 +56,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from . import limits
-from .digraph import DiGraph, reach_mask, shortest_path, tree_arcs
+from .digraph import DiGraph, reach_mask, set_to_mask, shortest_path, tree_arcs
 from .errors import CapabilityError, InputError, require_int
 
 ALL_PAIRS = "all_pairs"
@@ -150,7 +150,8 @@ class EdgeView(NamedTuple):
     self-loops skipped.  ``pairs`` maps each (tail, head) of an active
     non-loop edge to its hop: the active edges from that tail to that head,
     as a mask of edge ids (bit i for id i).  ``drop`` maps each active
-    non-loop edge id to ``(tail, head, hop)``.
+    non-loop edge id to its ``(tail, head)``, the key of its hop in
+    ``pairs``.
     """
 
     out: tuple
@@ -223,28 +224,25 @@ class ConnectivityOracle:
         out = [0] * n
         inn = [0] * n
         pairs: dict[tuple, int] = {}
+        drop = {}
         for e in self.g.edges:
             if e.id in active and e.tail != e.head:
                 out[e.tail] |= 1 << e.head
                 inn[e.head] |= 1 << e.tail
-                pair = (e.tail, e.head)
+                pair = drop[e.id] = (e.tail, e.head)
                 pairs[pair] = pairs.get(pair, 0) | 1 << e.id
-        drop = {}
-        for (tail, head), hop in pairs.items():
-            for eid in _ids(hop):
-                drop[eid] = (tail, head, hop)
         return EdgeView(tuple(out), tuple(inn), drop, pairs)
 
     def masks(self, view: EdgeView, fault):
         """Out- and in-masks of the view minus ``fault`` (any id container)."""
         out = list(view.out)
         inn = list(view.inn)
-        drop = view.drop
-        faulted = _id_mask(fault)
+        drop, pairs = view.drop, view.pairs
+        faulted = set_to_mask(fault)
         for eid in fault:
             entry = drop.get(eid)
-            if entry is not None and not entry[2] & ~faulted:
-                tail, head, _ = entry
+            if entry is not None and not pairs[entry] & ~faulted:
+                tail, head = entry
                 out[tail] &= ~(1 << head)
                 inn[head] &= ~(1 << tail)
         return out, inn
@@ -319,11 +317,11 @@ class ConnectivityOracle:
         e; when both paths survive, a breaking fault set must cut one of
         them, and their hops are the certificate.
         """
-        drop = view.drop
+        drop, pairs = view.drop, view.pairs
         entry = drop.get(removed)
         if entry is None:
             return False
-        tail, head, hop = entry
+        tail, head = entry
         if self.whole and base_state[0] != self.full:
             return False
         both = (1 << tail) | (1 << head)
@@ -333,15 +331,16 @@ class ConnectivityOracle:
                 break
         else:
             return False
-        faulted = _id_mask(fault) | 1 << removed
-        if hop & ~faulted:
+        faulted = set_to_mask(fault) | 1 << removed
+        hop = pairs[entry] & ~faulted
+        if hop:
             if hops is not None:
-                hops.append(hop & ~faulted)
+                hops.append(hop)
             return False
         out = list(view.out)  # the out-masks of masks(), without the in-masks
         for eid in fault:
             entry = drop.get(eid)
-            if entry is not None and not entry[2] & ~faulted:
+            if entry is not None and not pairs[entry] & ~faulted:
                 out[entry[0]] &= ~(1 << entry[1])
         out[tail] &= ~(1 << head)
         path = shortest_path(out, tail, head)
@@ -356,7 +355,6 @@ class ConnectivityOracle:
                 return True
             path = there + back[1:]
         if hops is not None:
-            pairs = view.pairs
             for pair in zip(path, path[1:]):
                 hops.append(pairs[pair] & ~faulted)
         return False
@@ -663,24 +661,23 @@ def drop_edge(view: EdgeView, eid: int) -> EdgeView:
     """The view less one edge, editing its ``drop`` and ``pairs`` in place.
 
     The result equals a fresh bind of the smaller active set: the edge
-    leaves its hop, and the entries in ``drop`` of the hop's other edges get
-    the smaller hop.  When the hop empties, no active edge joins its pair
-    any more, so the pair's ``pairs`` entry and its out- and in-mask bits
-    go too, in a new tuple of masks.  A self-loop or inactive id is in no
+    leaves ``drop`` and leaves its hop in ``pairs``.  The hop's other edges
+    keep their ``drop`` entries, since those name the pair and not the hop.
+    When the hop empties, no active edge joins its pair any more, so the
+    pair's ``pairs`` entry and its out- and in-mask bits go too, in a new
+    tuple of masks.  A self-loop or inactive id is in no
     hop and leaves the view as it is.  A caller that keeps the old view
     passes ``view.copy()``.
     """
     entry = view.drop.pop(eid, None)
     if entry is None:
         return view
-    tail, head, hop = entry
-    hop &= ~(1 << eid)
+    hop = view.pairs[entry] & ~(1 << eid)
     if hop:
-        view.pairs[tail, head] = hop
-        for other in _ids(hop):
-            view.drop[other] = (tail, head, hop)
+        view.pairs[entry] = hop
         return view
-    del view.pairs[tail, head]
+    del view.pairs[entry]
+    tail, head = entry
     out, inn = list(view.out), list(view.inn)
     out[tail] &= ~(1 << head)
     inn[head] &= ~(1 << tail)
@@ -689,13 +686,6 @@ def drop_edge(view: EdgeView, eid: int) -> EdgeView:
 
 def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _id_mask(ids) -> int:
-    mask = 0
-    for eid in ids:
-        mask |= 1 << eid
-    return mask
 
 
 def _ids(mask: int) -> tuple:

@@ -357,6 +357,16 @@ def test_gen_random_roundtrips(tmp_path, capsys):
     assert load(gpath) == gen_random(6, 12, 4, ensure_strongly_connected=True)
 
 
+def test_gen_random_without_room_for_edges_is_usage_error(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    code, _, err = run_cli(
+        capsys, "gen", "random", "--n", "1", "--m", "5", "-o", str(gpath)
+    )
+    assert code == 2 and "m=5" in err
+    assert not gpath.exists()
+    assert not (tmp_path / "g.txt.meta.json").exists()
+
+
 def test_gen_all_families(tmp_path, capsys):
     for family, extra in (
         ("baswana", ["-k", "2", "--y", "2"]),

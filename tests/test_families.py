@@ -126,6 +126,15 @@ def test_random_backbone_only():
     assert len(scc(g).components) == 1
 
 
+def test_random_edges_need_two_vertices():
+    # no non-loop edge exists on fewer than two vertices, so m > 0 cannot be met
+    for n in (0, 1):
+        for backbone in (False, True):
+            assert gen_random(n, 0, 1, backbone).m == 0
+            with pytest.raises(InputError):
+                gen_random(n, 5, 1, backbone)
+
+
 def test_random_deterministic():
     assert gen_random(8, 20, 9) == gen_random(8, 20, 9)
     assert gen_random(8, 20, 9) != gen_random(8, 20, 10)

@@ -70,9 +70,9 @@ class KeyCountingCache(FptCache):
 
     asked: Counter = field(default_factory=Counter)
 
-    def container_side(self, g, x, y_set, k, direction):
-        self.asked[(g, x, y_set, k, direction)] += 1
-        return super().container_side(g, x, y_set, k, direction)
+    def container_side(self, g, x, y_mask, k, direction):
+        self.asked[(g, x, y_mask, k, direction)] += 1
+        return super().container_side(g, x, y_mask, k, direction)
 
 
 def test_container_builds_each_key_once_per_call():
@@ -287,8 +287,8 @@ def test_interned_pieces_are_shared_and_change_nothing():
         pieces = hierarchy.certificates
         for piece in pieces:
             assert (piece.graph, piece.to_parent) == g.induced(piece.component)
-        # every container lookup ran on a piece object of the memoized hierarchy
-        hosts = {id(key[0]) for key in cache.containers}
+        # every bound view sits on a piece object of the memoized hierarchy
+        hosts = {id(key[0]) for key in cache.views}
         assert hosts and hosts <= {id(piece.graph) for piece in pieces}
 
 
