@@ -5,6 +5,8 @@ lines and timings.  Corpora are seeded and fixed; every tolerance is pinned
 in the assertions below.
 """
 
+import hashlib
+import json
 import math
 import random
 import time
@@ -67,31 +69,75 @@ def ft_corpus():
     greedy_runs = []  # (graph, spec, k, kept)
     failures = []
     fpt_reseeds = 0
+    contract = []  # one record per (graph, k), see test_behaviour_contract
     for gi, g in enumerate(graphs):
         cache = FptCache()
         for k in (1, 2):
+            record = {"graph": gi, "k": k, "greedy": []}
             for spec in _specs_for(g):
                 res = greedy_preserver(g, spec, k)
                 greedy_runs.append((g, spec, k, res.kept_edges))
                 if not verify_ft(g, res.kept_edges, spec, k).ok:
                     failures.append((gi, spec.kind, k, "greedy"))
+                dropped = verify_ft(g, res.kept_edges - {min(res.kept_edges)}, spec, k)
+                record["greedy"].append(
+                    (spec.kind, _outcome(res), _counterexample(dropped))
+                )
             hres = hierarchy_preserver(g, k)
             if not verify_ft(g, hres.kept_edges, VariantSpec.all_pairs(), k).ok:
                 failures.append((gi, "all_pairs", k, "hierarchy"))
+            record["hierarchy"] = _outcome(hres)
             fres = fpt_preserver(g, k, seed=gi, cache=cache)
+            record["fpt_reseeded"] = False
             if not verify_ft(g, fres.kept_edges, VariantSpec.all_pairs(), k).ok:
                 fpt_reseeds += 1
+                record["fpt_reseeded"] = True
                 fres = fpt_preserver(g, k, seed=gi + 1_000_000, cache=cache)
                 if not verify_ft(g, fres.kept_edges, VariantSpec.all_pairs(), k).ok:
                     failures.append((gi, "all_pairs", k, "fpt"))
+            record["fpt"] = _outcome(fres)
+            contract.append(record)
     elapsed = time.perf_counter() - started
     return {
         "graphs": graphs,
         "greedy_runs": greedy_runs,
         "failures": failures,
         "fpt_reseeds": fpt_reseeds,
+        "contract": contract,
         "elapsed": elapsed,
     }
+
+
+def _outcome(res):
+    """A construction's kept edges (ascending) and its stats."""
+    return sorted(res.kept_edges), res.stats
+
+
+def _counterexample(result):
+    """A ``verify_ft`` verdict's counterexample as (pair, sorted faults)."""
+    ce = result.counterexample
+    return None if ce is None else (ce.pair, sorted(ce.faults))
+
+
+# sha256 of the criterion-1 contract records; see test_behaviour_contract.
+CONTRACT_SHA256 = "be0703e93e9fdb26c29883c693af60b360bbc57cfd53c55007b1f79562d41476"
+
+
+def test_behaviour_contract(ft_corpus):
+    """The behaviour contract: criterion-1 outputs match a committed digest.
+
+    Per (graph, k) of the corpus the fixture records the kept edges and the
+    stats of all seven constructions, whether FPT reseeded, and the
+    ``verify_ft`` counterexample of each greedy output with its lowest kept
+    edge dropped.  The digest is the sha256 of those records as canonical
+    JSON.  It depends on Python 3.11's ``random`` stream (FPT's seeds and
+    samples, the corpus itself), the version CI pins.  A change that
+    declares a behaviour change updates ``CONTRACT_SHA256`` in the same
+    commit; any other change leaves it as it is.
+    """
+    text = json.dumps(ft_corpus["contract"], sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == CONTRACT_SHA256
 
 
 def test_criterion_01_construction_soundness(ft_corpus):
