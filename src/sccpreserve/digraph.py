@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError, require_int
+from .limits import guard_graph_size
 
 @dataclass(frozen=True)
 class Edge:
@@ -415,7 +416,12 @@ def serialize(g: DiGraph) -> str:
 
 
 def parse(text: str) -> DiGraph:
-    """Parse the text format; lines starting with ``#`` are comments."""
+    """Parse the text format; lines starting with ``#`` are comments.
+
+    A header past ``limits.MAX_GRAPH_VERTICES`` vertices raises
+    CapabilityError before anything is allocated for them, as a generator
+    asked for that many does.
+    """
     rows = [
         line.strip()
         for line in text.splitlines()
@@ -430,6 +436,7 @@ def parse(text: str) -> DiGraph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise InputError(f"bad header line: {rows[0]!r}") from None
+    guard_graph_size(n)
     if len(rows) - 1 != m:
         raise InputError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []

@@ -81,6 +81,12 @@ class HierarchyParams:
             raise InputError(f"need q >= k/phi (q={self.q}, k={self.k}, phi={phi})")
 
 
+# The params of every build without certificates (FPT's containers and
+# ``preservers.hierarchy_preserver``): such a build reads only phi = 1/2,
+# and q, k are the smallest values that pass validation.
+PHI_HALF = HierarchyParams(q=2, k=1)
+
+
 @dataclass(frozen=True)
 class UnbreakabilityResult:
     unbreakable: bool
@@ -268,7 +274,8 @@ def _heuristic_sparse_cut(g: DiGraph, terminals, phi: Fraction, rng) -> Cut | No
 
     Seeds candidate sides with min cuts between random terminal pairs, then
     hill-climbs single-vertex moves to lower the ratio.  A side's boundary
-    is counted on the bound view, one head per non-loop edge leaving it.
+    is counted on the bound view, which counts the non-loop edges leaving it
+    per head.
     Finding nothing is not a certificate of expansion; hierarchies built
     this way carry unverified certificates.
     """
@@ -283,7 +290,7 @@ def _heuristic_sparse_cut(g: DiGraph, terminals, phi: Fraction, rng) -> Cut | No
         small = min(inside, len(U) - inside)
         if small == 0:
             return None
-        return Fraction(len(view.boundary_heads(mask)), small)
+        return Fraction(sum(view.boundary_counts(mask)), small)
 
     candidates = []
     for _ in range(min(20, len(U) * (len(U) - 1))):

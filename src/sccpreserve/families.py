@@ -11,14 +11,8 @@ from __future__ import annotations
 import random
 
 from .digraph import DiGraph
-from .errors import CapabilityError, InputError, require_int
-
-_MAX_GENERATED_VERTICES = 200_000
-
-
-def _guard_size(n: int) -> None:
-    if n > _MAX_GENERATED_VERTICES:
-        raise CapabilityError(f"generator would emit {n} vertices")
+from .errors import InputError, require_int
+from .limits import guard_graph_size
 
 
 def _heap_tree_edges(depth: int):
@@ -56,7 +50,7 @@ def _tree_with_sinks(x_count: int, y_count: int):
     depth = x_count.bit_length() - 1
     tree_vertices = (1 << (depth + 1)) - 1
     n = tree_vertices + y_count
-    _guard_size(n)
+    guard_graph_size(n)
     edges = list(_heap_tree_edges(depth))
     tree_edge_count = len(edges)
     leaves = _leaf_slots(depth)
@@ -125,7 +119,7 @@ def gen_st_lower(layers: int, k_even: int):
     block = (1 << (depth + 1)) - 1  # full binary tree size
     s_chain = list(range(layers + 1))
     n = layers + 1 + layers * 2 * (block - 1)
-    _guard_size(n)
+    guard_graph_size(n)
     next_vertex = layers + 1
     edges = []
     layer_meta = []
@@ -213,7 +207,7 @@ def gen_color_fault_lower(x_count: int, y_count: int):
             edges.append((a, b, color))
     sinks = list(range(vertex_count, vertex_count + y_count))
     vertex_count += y_count
-    _guard_size(vertex_count)
+    guard_graph_size(vertex_count)
     cross_ids = {}
     for x in leaves:
         for y in sinks:
@@ -252,7 +246,7 @@ def gen_random(
     require_int("n", n, 0)
     require_int("m", m, 0)
     require_int("seed", seed, 0)  # Random(-s) draws the same stream as Random(s)
-    _guard_size(n)
+    guard_graph_size(n)
     if m and n < 2:
         raise InputError(f"no edge without self-loops on n={n} vertices, asked m={m}")
     rng = random.Random(seed)

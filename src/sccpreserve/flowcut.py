@@ -16,7 +16,7 @@ answers two questions:
 * :meth:`FlowView.value`: the number of edge-disjoint (X, Y)-paths,
   optionally clamped at a cap;
 * :meth:`FlowView.farthest`: the farthest minimum (X, Y)-cut side, also
-  with extra unit source edges into listed heads.
+  with extra source edges given as a per-vertex capacity vector.
 
 The farthest minimum cut side is S = V minus the vertices that can still
 reach Y in the final residual graph.  That side is the unique
@@ -158,18 +158,17 @@ class FlowView:
     def _flow(self, x_mask: int, y_mask: int, stop=None, supply=None):
         """Augment until no residual path is left or ``stop`` is reached.
 
-        ``supply[v]`` is the capacity of extra unit source edges into v.  A
-        BFS runs from every start vertex at once (X, and heads with supply
-        left) and keeps each level's frontier mask; it stops at the first
-        frontier vertex u with a residual arc into Y.  The path is then
-        walked back from u level by level, each vertex taking as parent the
-        first vertex of the level below with a residual arc to it.  Returns
-        the value and the residual nonzero masks.
+        ``supply[v]`` is the capacity of extra source edges into v, used up
+        in place.  A BFS runs from every start vertex at once (X, and
+        vertices with supply left) and keeps each level's frontier mask; it
+        stops at the first frontier vertex u with a residual arc into Y.
+        The path is then walked back from u level by level, each vertex
+        taking as parent the first vertex of the level below with a residual
+        arc to it.  Returns the value and the residual nonzero masks.
 
-        The value never exceeds the capacity of the edges into Y plus the
-        unit source edges into its heads.  An uncapped run is capped there:
-        at that value no augmenting path is left, so the last, failing
-        search is skipped.
+        The value never exceeds the capacity of the edges into Y plus its
+        supply.  An uncapped run is capped there: at that value no
+        augmenting path is left, so the last, failing search is skipped.
         """
         n = self.n
         res = self.cap[:]
@@ -249,19 +248,14 @@ class FlowView:
         """
         return self._flow(x_mask, y_mask, cap)[0]
 
-    def farthest(self, x_mask: int, y_mask: int, heads=()) -> tuple[int, int]:
+    def farthest(self, x_mask: int, y_mask: int, supply=None) -> tuple[int, int]:
         """(side mask, flow value) of the farthest minimum (X, Y)-cut.
 
-        ``heads`` lists the heads of extra unit source edges; a head listed
-        twice gets capacity 2.  The side is V minus the vertices that reach
-        Y in the final residual graph.
+        ``supply[v]``, when given, is the capacity of extra source edges into
+        v; the caller's list is left as it is.  The side is V minus the
+        vertices that reach Y in the final residual graph.
         """
-        supply = None
-        if heads:
-            supply = [0] * self.n
-            for v in heads:
-                supply[v] += 1
-        value, nonzero = self._flow(x_mask, y_mask, None, supply)
+        value, nonzero = self._flow(x_mask, y_mask, None, supply and supply[:])
         reach = y_mask
         side = self.full & ~reach
         grew = True
@@ -277,11 +271,11 @@ class FlowView:
                     grew = True
         return side, value
 
-    def boundary_heads(self, side: int) -> list[int]:
-        """Heads of the bound graph's edges leaving ``side``, with multiplicity."""
+    def boundary_counts(self, side: int) -> list[int]:
+        """Per vertex v, the number of the bound graph's edges from ``side`` into v."""
         n = self.n
         cap = self.cap
-        heads = []
+        counts = [0] * n
         outside = self.full & ~side
         bits = side
         while bits:
@@ -294,8 +288,8 @@ class FlowView:
                 c = crossing & -crossing
                 crossing ^= c
                 v = c.bit_length() - 1
-                heads.extend([v] * cap[row + v])
-        return heads
+                counts[v] += cap[row + v]
+        return counts
 
     def symmetric(self, s: int, t: int, k: int) -> int:
         """min(flow(s, t), flow(t, s), k), computed with capped flows."""

@@ -31,14 +31,13 @@ not (see :class:`FptCache`).  Caching never changes any result.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 from math import ceil, comb, log, sqrt
 
 from . import limits
 from .digraph import DiGraph, mask_to_set, set_to_mask
 from .errors import InputError, require_int
-from .expander import HierarchyParams, build_hierarchy
+from .expander import PHI_HALF, build_hierarchy
 from .flowcut import FlowView, bind, boundary_edges
 from .impcut import container_sides
 from .preservers import PreserverResult, is_ft_critical, sscp_group
@@ -81,10 +80,12 @@ class FptCache:
     Bound flow views, single-pair flows and expander hierarchies are
     memoized by graph content: a graph hashes and compares by its
     signature, so only an identical graph hits.  Each is a deterministic
-    function of the graph and its other arguments.  A hierarchy built
-    without certificates reads only ``params.phi`` and
-    ``limits.exact_cut_limit()``, so those two key it, and a hit under
-    other params is handed out with them.  A memoized hierarchy hands out
+    function of the graph and its other arguments.  Every hierarchy is
+    built without certificates on ``expander.PHI_HALF``, so it reads only
+    phi = 1/2 and ``limits.exact_cut_limit()``, and the graph and that
+    limit key it.  The same build serves every k: FPT reads of it only the
+    levels, the pieces and ``exact``, never its params, and its sampling q
+    comes from :func:`container_params`.  A memoized hierarchy hands out
     the same piece graphs on every hit, so keys built on them match by
     identity before any signature is compared.  Each table stays because it
     is read again; over fpt_preserver at k = 1 and 2 on the 200 graphs of
@@ -148,14 +149,13 @@ class FptCache:
             kept = self.sscp_entries[key][0]
         return kept
 
-    def hierarchy(self, g: DiGraph, params: HierarchyParams):
-        key = (g, params.phi, limits.exact_cut_limit())
+    def hierarchy(self, g: DiGraph):
+        """The hierarchy of g at phi = 1/2, built without certificates."""
+        key = (g, limits.exact_cut_limit())
         hit = self.hierarchies.get(key)
         if hit is None:
-            hit = build_hierarchy(g, params, verify_certificates=False)
+            hit = build_hierarchy(g, PHI_HALF, verify_certificates=False)
             self.hierarchies[key] = hit
-        elif hit.params != params:
-            hit = replace(hit, params=params)
         return hit
 
     def view(self, g: DiGraph, direction: str) -> FlowView:
@@ -397,11 +397,8 @@ def fpt_container_all_pairs(
         cache = FptCache()
     if g.n == 0:
         return FptContainerResult(frozenset(), seed, (), True)
-    q, kh = container_params(g.n, k)
-    params = HierarchyParams(
-        q=max(q, ceil(kh / Fraction(1, 2))), k=kh, phi=Fraction(1, 2)
-    )
-    hierarchy = cache.hierarchy(g, params)
+    q, _ = container_params(g.n, k)
+    hierarchy = cache.hierarchy(g)
     rng = random.Random(seed)
     edges: set = set()
     rows = []

@@ -8,6 +8,14 @@ final side contains the side of every important (X, Y)-cut of size <= k,
 and its boundary has at most flow * 2^{k*} <= 2^{k-1} edges.  When the flow
 already exceeds k there are no important cuts of size <= k at all and the
 result carries a sentinel status instead of a cut.
+
+The artificial edges all leave x, so they are kept as per-vertex
+capacities: ``supply[v]`` counts the edges (x, v) added so far, which is
+the capacity vector :meth:`FlowView.farthest` takes.  The boundary of a
+round's side S counts every artificial edge into a vertex outside S as well
+as the graph's edges leaving S, so each v outside S gets
+supply[v] = 2 supply[v] + (edges from S into v), and a v inside S keeps
+its value.  The vector holds n numbers however many edges it stands for.
 """
 
 from __future__ import annotations
@@ -84,13 +92,15 @@ def container_sides(view: FlowView, x_mask: int, y_mask: int, k: int):
     if lam > k:
         return [], lam
     sides = [side]
-    heads: list[int] = []
+    supply = [0] * view.n
     for _ in range(k - lam):
-        # one unit source edge per boundary edge of the current cut,
+        # one artificial edge per boundary edge of the current cut,
         # counting previously added artificial edges that cross it too
-        heads += [v for v in heads if not (side >> v) & 1]
-        heads += view.boundary_heads(side)
-        side, _ = view.farthest(x_mask, y_mask, heads)
+        counts = view.boundary_counts(side)
+        for v in range(view.n):
+            if not (side >> v) & 1:
+                supply[v] = 2 * supply[v] + counts[v]
+        side, _ = view.farthest(x_mask, y_mask, supply)
         sides.append(side)
     return sides, lam
 

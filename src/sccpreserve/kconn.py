@@ -9,6 +9,7 @@ lower-bounds the pair, and tree maximality upper-bounds it.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from math import ceil, sqrt
@@ -164,29 +165,34 @@ def unbreakability_decomposition(g: DiGraph, q: int, k: int) -> Decomposition:
     one direction has at least q members of S on each side; the witness
     search is the unbreakability oracle with threshold q-1.  At most n/q
     cuts are ever recorded.
+
+    Each part is checked once.  The parts not yet checked wait in a heap
+    keyed by their lowest vertex (parts are disjoint, so no two keys tie),
+    and the lowest is checked next: a breakable part is split and its two
+    halves join the heap, an unbreakable or small one is final.  The splits
+    come in the order of a scan that restarts after every split and splits
+    the breakable part of lowest minimum: a part's verdict depends only on
+    g and the part, a part found unbreakable is never split, so every part
+    the heap has passed over stays unbreakable, and the popped breakable
+    part is the breakable part of lowest minimum.
     """
     require_int("q", q, 1)
     require_int("k", k, 0)
     if g.n == 0:
         return Decomposition(parts=(), cuts=(), q=q, k=k)
-    parts = [frozenset(range(g.n))]
+    unchecked = [(0, frozenset(range(g.n)))]
+    parts = []
     cuts: list[Cut] = []
-    progress = True
-    while progress:
-        progress = False
-        for part in sorted(parts, key=min):
-            if len(part) < 2 * q:
-                continue
+    while unchecked:
+        _, part = heapq.heappop(unchecked)
+        if len(part) >= 2 * q:
             res = is_unbreakable(g, part, q - 1, k)
-            if res.unbreakable:
+            if not res.unbreakable:
+                for half in (part & res.witness.side, part - res.witness.side):
+                    heapq.heappush(unchecked, (min(half), half))
+                cuts.append(res.witness)
                 continue
-            left = part & res.witness.side
-            right = part - res.witness.side
-            parts.remove(part)
-            parts.extend([left, right])
-            cuts.append(res.witness)
-            progress = True
-            break
+        parts.append(part)
     return Decomposition(
         parts=tuple(sorted(parts, key=min)), cuts=tuple(cuts), q=q, k=k
     )

@@ -18,6 +18,7 @@ DEFAULT_MAX_FAULT_SETS = 2_000_000
 DEFAULT_MAX_SUBSET_PAIRS = 5_000_000
 DEFAULT_EXACT_CUT_LIMIT = 18
 DEFAULT_MAX_ENUM_VERTICES = 16
+MAX_GRAPH_VERTICES = 200_000
 
 _ENV_PREFIX = "SCC_PRESERVE_"
 
@@ -54,3 +55,9 @@ def guard_side_enumeration(n: int) -> None:
         raise CapabilityError(
             f"2^n side enumeration infeasible for n={n} (limit n <= {cap})"
         )
+
+
+def guard_graph_size(n: int) -> None:
+    """The one vertex cap of generated and loaded graphs (not overridable)."""
+    if n > MAX_GRAPH_VERTICES:
+        raise CapabilityError(f"{n} vertices exceed the limit of {MAX_GRAPH_VERTICES}")

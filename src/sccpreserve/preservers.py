@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from . import limits
 from .digraph import DiGraph, set_to_mask
 from .errors import InputError, require_int
-from .expander import HierarchyParams, build_hierarchy
+from .expander import PHI_HALF, build_hierarchy
 from .variants import (
     ConnectivityOracle,
     CriticalityScan,
@@ -201,8 +201,11 @@ def hierarchy_preserver(g: DiGraph, k: int) -> PreserverResult:
     The parameters follow the existential construction: a hierarchy for
     (2k, k)-unbreakable sets (phi = 1/2), then one greedy sourcewise
     preserver per (level, SCC of the prefix graph), unioned over all levels.
-    ``stats["exact"]`` is the hierarchy's flag: False when some sparse cut
-    was heuristic (past ``limits.exact_cut_limit()`` vertices).
+    The build checks no certificates, so it reads only phi and runs on
+    ``expander.PHI_HALF``; ``params`` reports the construction's
+    q = max(2k, 2).  ``stats["exact"]`` is the hierarchy's flag: False when
+    some sparse cut was heuristic (past ``limits.exact_cut_limit()``
+    vertices).
     """
     require_int("k", k, 0)
     if g.n == 0:
@@ -210,9 +213,7 @@ def hierarchy_preserver(g: DiGraph, k: int) -> PreserverResult:
             frozenset(), "all_pairs", {"k": k},
             {"input_edges": 0, "output_edges": 0, "exact": True}, "hierarchy",
         )
-    # k=0 still needs valid params; the level structure depends on phi only
-    params = HierarchyParams(q=max(2 * k, 2), k=max(k, 1))
-    hierarchy = build_hierarchy(g, params, verify_certificates=False)
+    hierarchy = build_hierarchy(g, PHI_HALF, verify_certificates=False)
     kept: set = set()
     pieces = hierarchy.certificates
     for piece in pieces:
@@ -221,7 +222,7 @@ def hierarchy_preserver(g: DiGraph, k: int) -> PreserverResult:
     return PreserverResult(
         kept_edges=frozenset(kept),
         variant="all_pairs",
-        params={"k": k, "q": params.q, "phi": str(params.phi)},
+        params={"k": k, "q": max(2 * k, 2), "phi": str(PHI_HALF.phi)},
         stats={
             "input_edges": g.m,
             "output_edges": len(kept),

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -148,6 +149,37 @@ def test_capability_error_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, *verify, "-k", "2")
     assert code == 3
     assert "capability" in err
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "hierarchy"])
+def test_huge_graph_file_is_capability_error(tmp_path, command):
+    # past the generators' vertex cap a graph file is refused before any
+    # per-vertex allocation; for verify, exit 1 would read as a failure.
+    # The child runs under an address-space limit, so a loader that does
+    # allocate fails with MemoryError instead of filling the machine.
+    gpath = tmp_path / "big.txt"
+    gpath.write_text("100000000 0\n")
+    ppath = tmp_path / "p.json"
+    ppath.write_text('{"kept_edges": []}')
+    argv = {
+        "build": ["-k", "1"],
+        "verify": ["--preserver", str(ppath), "--variant", "all-pairs", "-k", "1"],
+        "hierarchy": ["-q", "2", "-k", "1"],
+    }[command]
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from sccpreserve.cli import main; sys.exit(main())",
+         command, "--graph", str(gpath), *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3, proc.stderr[-500:]
+    assert "capability" in proc.stderr
 
 
 def test_bad_env_integer_is_usage_error(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from sccpreserve.digraph import (
     DiGraph, Edge, parse, reach_mask, scc, serialize, shortest_path,
 )
-from sccpreserve.errors import InputError
+from sccpreserve.errors import CapabilityError, InputError
 from sccpreserve.families import gen_random
 
 from conftest import bidirected_triangle, three_cycle
@@ -146,6 +146,13 @@ def test_parse_comments_and_parallel_lines():
 def test_parse_rejects_bad_counts():
     with pytest.raises(InputError):
         parse("2 2\n0 1\n")
+
+
+def test_parse_caps_the_vertex_count():
+    # a header alone must not make the loader allocate for any n it names
+    with pytest.raises(CapabilityError):
+        parse("200001 0\n")
+    assert parse("200000 0\n").n == 200_000
 
 
 def test_vertex_range_checked():

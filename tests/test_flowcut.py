@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -234,7 +235,7 @@ def test_view_counts_parallel_edges():
 
 
 def test_view_farthest_side_with_repeated_heads():
-    """Extra heads act as unit source edges: the same as edges from an X vertex."""
+    """A supply of c into v acts as c edges from an X vertex into v."""
     rng = random.Random(6)
     for g in _loopy_hosts(42, 60):
         view = bind(g)
@@ -247,16 +248,27 @@ def test_view_farthest_side_with_repeated_heads():
             heads = [rng.choice(outside) for _ in range(rng.randrange(1, 4))]
             heads += heads[: rng.randrange(len(heads) + 1)]  # repeats add capacity
             extended = g.add_edges([(X[0], h) for h in heads])
-            side, value = view.farthest(x_mask, y_mask, heads)
+            supply = [heads.count(v) for v in range(g.n)]
+            side, value = view.farthest(x_mask, y_mask, supply)
             assert mask_to_set(side) == maximal_min_cut_side(extended, X, Y)
             assert value == min_cut_ref(extended, X, Y)
 
 
 def test_view_head_in_sink_set_is_a_unit_path():
     g = DiGraph(3, [(0, 1)])
-    side, value = bind(g).farthest(0b001, 0b100, [2, 2])
+    side, value = bind(g).farthest(0b001, 0b100, [0, 0, 2])
     assert value == 2
     assert side == 0b011
+
+
+def test_view_farthest_leaves_supply_unchanged():
+    # the flow uses the supply up on a copy; a caller reuses its vector
+    g = DiGraph(4, [(0, 1), (1, 3), (2, 3), (2, 3)])
+    view = bind(g)
+    supply = [0, 1, 3, 0]
+    first = view.farthest(0b0001, 0b1000, supply)
+    assert supply == [0, 1, 3, 0]
+    assert first == view.farthest(0b0001, 0b1000, supply) == (0b0111, 3)
 
 
 def test_reverse_view_is_view_of_reversed_graph():
@@ -270,11 +282,11 @@ def test_reverse_view_is_view_of_reversed_graph():
             assert view.value(x_mask, y_mask, 2) == mirror.value(x_mask, y_mask, 2)
             assert view.farthest(x_mask, y_mask) == mirror.farthest(x_mask, y_mask)
             side = view.farthest(x_mask, y_mask)[0]
-            tails = sorted(
+            tails = Counter(
                 e.tail for e in g.edges
                 if (side >> e.head) & 1 and not (side >> e.tail) & 1
             )
-            assert sorted(view.boundary_heads(side)) == tails
+            assert view.boundary_counts(side) == [tails[v] for v in range(g.n)]
 
 
 def test_view_symmetric_matches_flows():

@@ -8,7 +8,7 @@ import pytest
 from sccpreserve import fpt
 from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import InputError
-from sccpreserve.expander import HierarchyParams
+from sccpreserve.expander import PHI_HALF, HierarchyParams
 from sccpreserve.families import gen_random
 from sccpreserve.fpt import (
     FptCache,
@@ -294,7 +294,7 @@ def test_interned_pieces_are_shared_and_change_nothing():
 
 def test_hierarchy_memo_serves_every_k(monkeypatch):
     # a build without certificates reads phi only, so k = 2 reuses the
-    # build of k = 1's first graph, handed out with k = 2's params
+    # build of k = 1's first graph
     built = []
     build = fpt.build_hierarchy
 
@@ -312,12 +312,15 @@ def test_hierarchy_memo_serves_every_k(monkeypatch):
             assert (shared.kept_edges, shared.stats) == (fresh.kept_edges, fresh.stats)
         assert Counter(built)[g] == 3  # k = 1 and k = 2 fresh, one shared
         del built[:]
+        hierarchy = cache.hierarchy(g)
+        assert not built
+        assert hierarchy == build(g, PHI_HALF, verify_certificates=False)
         for k in (1, 2):
+            # the levels and pieces are those of a build with k's own params
             q, kh = container_params(g.n, k)
             params = HierarchyParams(q=max(q, 2 * kh), k=kh)
-            hierarchy = cache.hierarchy(g, params)
-            assert hierarchy == build(g, params, verify_certificates=False)
-        assert not built
+            own = build(g, params, verify_certificates=False)
+            assert (hierarchy.levels, hierarchy.pieces) == (own.levels, own.pieces)
 
 
 @pytest.mark.parametrize("seed", [-5, 1.5, "5", True])

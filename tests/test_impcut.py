@@ -1,15 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
 
 from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import CapabilityError, InputError
 from sccpreserve.families import gen_bounded_degree_lower, gen_random
-from sccpreserve.flowcut import boundary_edges, canonicalize_in_reachable, flow_value
+from sccpreserve.flowcut import bind, boundary_edges, canonicalize_in_reachable, flow_value
 from sccpreserve.impcut import (
     NO_SMALL_CUTS,
     OK,
     check_anti_isolation,
+    container_sides,
     enumerate_important_cuts,
     important_cut_container,
 )
@@ -226,3 +228,17 @@ def test_in_container_builds_no_reversed_graph(monkeypatch):
     assert res.flow_value == flow_value(g, [5], [0])
     for cut in enumerate_important_cuts(g, [0], [5], 2, "in"):
         assert canonicalize_in_reachable(g, cut, [0], [5]) == cut
+
+
+def test_container_memory_does_not_grow_with_k():
+    # the artificial edges are n capacities, not one list entry per edge;
+    # at k = 14 such a list peaked near 97 KB
+    view = bind(gen_random(6, 14, 1, True))
+    tracemalloc.start()
+    try:
+        sides, lam = container_sides(view, 0b1, 0b10, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sides) == 14 - lam + 1
+    assert peak <= 16 * 1024

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sccpreserve import kconn
 from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import CapabilityError, InputError
 from sccpreserve.expander import is_unbreakable
@@ -159,6 +160,53 @@ def test_decomposition_invariants_random():
             assert is_unbreakable(g, part, q, k).unbreakable
         for cut in deco.cuts:
             assert len(cut.boundary) <= k
+
+
+def _restart_decomposition(g, q, k):
+    """The decomposition by a scan that restarts after every split."""
+    parts = [frozenset(range(g.n))]
+    cuts = []
+    progress = True
+    while progress:
+        progress = False
+        for part in sorted(parts, key=min):
+            if len(part) < 2 * q:
+                continue
+            res = is_unbreakable(g, part, q - 1, k)
+            if not res.unbreakable:
+                parts.remove(part)
+                parts += [part & res.witness.side, part - res.witness.side]
+                cuts.append(res.witness)
+                progress = True
+                break
+    return tuple(sorted(parts, key=min)), tuple(cuts)
+
+
+def test_decomposition_splits_in_restart_order():
+    # the heap of unchecked parts splits what a restarting scan splits, in
+    # the same order
+    rng = random.Random(56)
+    for trial in range(40):
+        n = rng.randrange(2, 10)
+        g = gen_random(n, rng.randrange(n, 3 * n), 600 + trial,
+                       ensure_strongly_connected=bool(trial % 2))
+        for q in (1, 2, 3):
+            for k in (0, 1, 2):
+                deco = unbreakability_decomposition(g, q, k)
+                assert (deco.parts, deco.cuts) == _restart_decomposition(g, q, k)
+
+
+def test_decomposition_checks_each_part_once(monkeypatch):
+    checked = []
+
+    def counted(g, part, q, k):
+        checked.append(frozenset(part))
+        return is_unbreakable(g, part, q, k)
+
+    monkeypatch.setattr(kconn, "is_unbreakable", counted)
+    deco = unbreakability_decomposition(gen_random(10, 13, 67, True), 2, 1)
+    assert len(deco.parts) == 4
+    assert len(checked) == len(set(checked)) == 4
 
 
 def test_decomposition_cut_bookkeeping():
