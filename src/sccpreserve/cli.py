@@ -26,16 +26,6 @@ from .expander import HierarchyParams, build_hierarchy
 from .impcut import important_cut_container
 from .variants import VariantSpec
 
-# Each --variant and the vertex flags it reads; giving another is an error.
-_VARIANT_FLAGS = {
-    "all-pairs": (),
-    "single-source": ("source",),
-    "st": ("source", "target"),
-    "global": (),
-    "sourcewise": ("sources",),
-    "kconn": (),
-}
-
 
 class _Report(NamedTuple):
     """What a subcommand did: its --json fields below the header, its stderr
@@ -59,31 +49,39 @@ def _load_graph(path: str):
         raise InputError(f"cannot read graph file: {exc}") from None
 
 
+def _sourcewise(text: str) -> VariantSpec | None:
+    """The sourcewise spec of a ``--sources`` list; None when it names none."""
+    sources = _int_list(text)
+    return VariantSpec.sourcewise(sources) if sources else None
+
+
+# Each --variant: the vertex flags it reads (giving another is an error) and
+# the builder of its spec from their values, None for kconn, which has none.
+_VARIANTS = {
+    "all-pairs": ((), VariantSpec.all_pairs),
+    "single-source": (("source",), VariantSpec.single_source),
+    "st": (("source", "target"), VariantSpec.st),
+    "global": ((), VariantSpec.global_),
+    "sourcewise": (("sources",), _sourcewise),
+    "kconn": ((), None),
+}
+
+
 def _spec_from_args(args) -> VariantSpec:
-    variant = args.variant
-    if variant == "all-pairs":
-        return VariantSpec.all_pairs()
-    if variant == "single-source":
-        if args.source is None:
-            raise InputError("--source required for single-source")
-        return VariantSpec.single_source(args.source)
-    if variant == "st":
-        if args.source is None or args.target is None:
-            raise InputError("--source and --target required for st")
-        return VariantSpec.st(args.source, args.target)
-    if variant == "global":
-        return VariantSpec.global_()
-    if variant == "sourcewise":
-        sources = _int_list(args.sources or "")
-        if not sources:
-            raise InputError("--sources required for sourcewise")
-        return VariantSpec.sourcewise(sources)
-    raise InputError(f"variant {variant} has no fault-tolerant spec")
+    flags, build = _VARIANTS[args.variant]
+    if build is None:
+        raise InputError(f"variant {args.variant} has no fault-tolerant spec")
+    values = [getattr(args, flag) for flag in flags]
+    spec = None if None in values else build(*values)
+    if spec is None:
+        named = " and ".join(f"--{flag}" for flag in flags)
+        raise InputError(f"{named} required for {args.variant}")
+    return spec
 
 
 def _check_variant_flags(args) -> None:
     """Refuse the vertex flags that ``--variant`` does not read."""
-    reads = _VARIANT_FLAGS[args.variant]
+    reads = _VARIANTS[args.variant][0]
     for flag in ("source", "target", "sources"):
         if getattr(args, flag) is not None and flag not in reads:
             raise InputError(f"--{flag} does not apply to --variant {args.variant}")
@@ -112,10 +110,8 @@ def _cmd_gen(args, _) -> _Report:
         g, meta = families.gen_st_lower(args.layers, args.k)
     elif args.family == "bounded-degree":
         g, meta = families.gen_bounded_degree_lower(args.x, args.y)
-    elif args.family == "color":
+    else:  # color, the last of the parser's choices
         g, meta = families.gen_color_fault_lower(args.x, args.y)
-    else:
-        raise InputError(f"unknown family {args.family}")
     meta_path = args.out + ".meta.json"
     try:
         digraph.dump(g, args.out)
@@ -153,12 +149,10 @@ def _cmd_build(args, g) -> _Report:
         if args.variant != "all-pairs":
             raise InputError("--algo hierarchy builds all-pairs preservers")
         result = preservers.hierarchy_preserver(g, args.k)
-    elif args.algo == "fpt":
+    else:  # fpt, the last of the parser's choices
         if args.variant != "all-pairs":
             raise InputError("--algo fpt builds all-pairs preservers")
         result = fpt.fpt_preserver(g, args.k, args.seed)
-    else:
-        raise InputError(f"unknown algo {args.algo}")
     elapsed = time.perf_counter() - started
     fields = {
         "variant": args.variant,
@@ -358,7 +352,7 @@ def parser() -> argparse.ArgumentParser:
     on_graph.add_argument("--graph", required=True)
     on_graph.add_argument("-k", type=int, required=True)
     variant = argparse.ArgumentParser(add_help=False)
-    variant.add_argument("--variant", choices=tuple(_VARIANT_FLAGS), default="all-pairs")
+    variant.add_argument("--variant", choices=tuple(_VARIANTS), default="all-pairs")
     variant.add_argument("--source", type=int)
     variant.add_argument("--target", type=int)
     variant.add_argument("--sources", help="comma-separated vertex list")

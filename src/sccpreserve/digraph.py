@@ -83,9 +83,18 @@ class DiGraph:
     def edge_ids(self) -> frozenset:
         return frozenset(self._by_id)
 
-    def _check_vertex(self, v: int) -> None:
-        if type(v) is not int or not 0 <= v < self.n:
-            raise InputError(f"vertex {v!r} is not an int in [0, {self.n})")
+    def vertex_set(self, vertices: Iterable[int]) -> frozenset:
+        """The given vertices as a frozenset, each one under :func:`check_vertex`.
+
+        Anything that is not an iterable of hashables raises InputError.
+        """
+        try:
+            checked = frozenset(vertices)
+        except TypeError:
+            raise InputError(f"expected a collection of vertices, got {vertices!r}") from None
+        for v in checked:
+            check_vertex(v, self.n)
+        return checked
 
     def signature(self) -> tuple:
         """Hashable content key (used by caches and equality)."""
@@ -115,20 +124,17 @@ class DiGraph:
     # -- graph surgery ---------------------------------------------------
 
     def remove_edges(self, fault: Iterable[int]) -> "DiGraph":
-        """Graph minus the given edge ids, original ids preserved."""
+        """Graph minus the given edge ids: the restriction to every other id."""
         fault = frozenset(fault)
         for eid in fault:
-            if eid not in self._by_id:
-                raise InputError(f"unknown edge id {eid}")
-        keep = [e for e in self.edges if e.id not in fault]
-        return DiGraph(self.n, _records=keep)
+            self.edge(eid)
+        return self.restrict_to(self._by_id.keys() - fault)
 
     def restrict_to(self, edge_ids: Iterable[int]) -> "DiGraph":
         """Subgraph keeping exactly the given edge ids (a preserver view)."""
         wanted = frozenset(edge_ids)
         for eid in wanted:
-            if eid not in self._by_id:
-                raise InputError(f"unknown edge id {eid}")
+            self.edge(eid)
         keep = [e for e in self.edges if e.id in wanted]
         return DiGraph(self.n, _records=keep)
 
@@ -153,9 +159,7 @@ class DiGraph:
         itself, which is returned with the identity ``to_parent``: a graph is
         immutable, and a copy would equal it by content.
         """
-        to_parent = tuple(sorted(set(vertex_set)))
-        for v in to_parent:
-            self._check_vertex(v)
+        to_parent = tuple(sorted(self.vertex_set(vertex_set)))
         if len(to_parent) == self.n:
             return self, to_parent
         local = {v: i for i, v in enumerate(to_parent)}
@@ -165,6 +169,12 @@ class DiGraph:
             if e.tail in local and e.head in local
         ]
         return DiGraph(len(to_parent), _records=records), to_parent
+
+
+def check_vertex(v, n: int) -> None:
+    """The vertex rule: v is an int, not a bool, in [0, n); else InputError."""
+    if type(v) is not int or not 0 <= v < n:
+        raise InputError(f"vertex {v!r} is not an int in [0, {n})")
 
 
 def _edge_records(specs: Iterable[tuple], first_id: int) -> list[Edge]:
@@ -253,6 +263,22 @@ def shortest_path(adj: list[int], start: int, goal: int) -> list[int] | None:
     return path
 
 
+def round_trip_arcs(
+    out: list[int], inn: list[int], root: int, span: int, heads: int, tails: int
+) -> list[tuple]:
+    """Arcs of breadth-first paths from ``root`` to ``heads`` and from
+    ``tails`` to ``root`` inside ``span``.
+
+    The :func:`tree_arcs` out-tree over ``out`` to the heads, then its
+    in-tree over ``inn`` (the transposed masks) from the tails, each arc
+    turned back to the graph's direction.  While every arc survives, each
+    tail reaches each head through the root.
+    """
+    arcs = tree_arcs(out, root, span, heads)
+    arcs += [(w, v) for v, w in tree_arcs(inn, root, span, tails)]
+    return arcs
+
+
 def tree_arcs(adj: list[int], root: int, span: int, goals: int) -> list[tuple]:
     """Arcs (parent, child) of breadth-first paths from ``root`` to ``goals``.
 
@@ -336,13 +362,18 @@ def _components(closure: list[int]) -> list[int]:
     return comp
 
 
-def mask_to_set(mask: int) -> frozenset:
+def mask_ids(mask: int) -> tuple:
+    """The positions of the set bits of ``mask``, ascending."""
     out = []
     while mask:
         b = mask & -mask
         mask ^= b
         out.append(b.bit_length() - 1)
-    return frozenset(out)
+    return tuple(out)
+
+
+def mask_to_set(mask: int) -> frozenset:
+    return frozenset(mask_ids(mask))
 
 
 def set_to_mask(vertices: Iterable[int]) -> int:

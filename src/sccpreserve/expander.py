@@ -48,7 +48,7 @@ from math import comb, floor
 from operator import add
 
 from . import limits
-from .digraph import DiGraph, mask_to_set, scc, set_to_mask, tree_arcs
+from .digraph import DiGraph, mask_to_set, round_trip_arcs, scc, set_to_mask
 from .errors import CapabilityError, InputError, require_int
 from .flowcut import Cut, bind, make_cut
 from .variants import ConnectivityOracle, VariantSpec, first_fault
@@ -95,9 +95,7 @@ class UnbreakabilityResult:
 
 def is_unbreakable(g: DiGraph, terminals, q: int, k: int) -> UnbreakabilityResult:
     """Flow-reduction unbreakability test with a min-cut witness on failure."""
-    U = frozenset(terminals)
-    for v in U:
-        g._check_vertex(v)
+    U = g.vertex_set(terminals)
     require_int("q", q, 0)
     require_int("k", k, 0)
     if len(U) <= 2 * q + 1:
@@ -138,9 +136,7 @@ def giant_component_check(g: DiGraph, terminals, q: int, k: int) -> bool:
     hop of them is wholly faulted, those terminals stay strongly connected
     through r, so every hit that contains F holds a whole hop.
     """
-    U = frozenset(terminals)
-    for v in U:
-        g._check_vertex(v)
+    U = g.vertex_set(terminals)
     require_int("q", q, 0)
     require_int("k", k, 0)
     target = len(U) - 2 * q
@@ -161,9 +157,7 @@ def giant_component_check(g: DiGraph, terminals, q: int, k: int) -> bool:
             return True
         if not room:
             return None
-        arcs = tree_arcs(out, root, comp, goals)
-        arcs += [(w, v) for v, w in tree_arcs(inn, root, comp, goals)]
-        return map(pairs.__getitem__, arcs)
+        return map(pairs.__getitem__, round_trip_arcs(out, inn, root, comp, goals, goals))
 
     return first_fault(test, k, limits.max_fault_sets(), "giant-component search") is None
 
@@ -254,11 +248,9 @@ def sparsest_cut_wrt(g: DiGraph, terminals, phi) -> Cut | None:
     into R stay inside S.  Raises CapabilityError past
     ``limits.exact_cut_limit()`` vertices before the table is built.
     """
-    U = frozenset(terminals)
+    U = g.vertex_set(terminals)
     if len(U) < 2:
         raise InputError("need at least two terminals")
-    for v in U:
-        g._check_vertex(v)
     phi = _fraction(phi)
     cap = limits.exact_cut_limit()
     if g.n > cap:

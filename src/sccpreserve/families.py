@@ -192,9 +192,9 @@ def gen_color_fault_lower(x_count: int, y_count: int):
     vertex_count = tree_vertices
     edges = []
     for parent, child in _heap_tree_edges(depth):
+        # never empty: (parent, child) hangs off the root path of each leaf
+        # under child's sibling
         palette = sorted(colors_of[(parent, child)])
-        if not palette:
-            raise AssertionError("full binary tree edge with no color")
         if len(palette) == 1:
             edges.append((parent, child, palette[0]))
             continue

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import DiGraph, mask_to_set, reach_mask, set_to_mask
+from .digraph import DiGraph, check_vertex, mask_to_set, reach_mask, set_to_mask
 from .errors import InputError, require_int
 
 
@@ -293,14 +293,13 @@ class FlowView:
 
     def symmetric(self, s: int, t: int, k: int) -> int:
         """min(flow(s, t), flow(t, s), k), computed with capped flows."""
+        check_vertex(s, self.n)
+        check_vertex(t, self.n)
         if s == t:
             raise InputError("s and t must differ")
         require_int("k", k, 0)
         if k == 0:
             return 0
-        for v in (s, t):
-            if not 0 <= v < self.n:
-                raise InputError(f"vertex {v} out of range [0, {self.n})")
         forward = self._flow(1 << s, 1 << t, k)[0]
         if forward == 0:
             return 0
@@ -402,14 +401,12 @@ class _Residual:
 
 
 def _check_terminals(g: DiGraph, X, Y):
-    X = frozenset(X)
-    Y = frozenset(Y)
+    X = g.vertex_set(X)
+    Y = g.vertex_set(Y)
     if not X or not Y:
         raise InputError("terminal sets must be nonempty")
     if X & Y:
         raise InputError(f"terminal sets intersect: {sorted(X & Y)}")
-    for v in X | Y:
-        g._check_vertex(v)
     return X, Y
 
 
@@ -515,9 +512,7 @@ def _reachable_cut(g: DiGraph, cut: Cut, X, Y, direction: str) -> Cut:
     in-walk from X finds the side vertices that reach X in g.
     """
     X, Y = _check_terminals(g, X, Y)
-    for v in cut.side:
-        g._check_vertex(v)
-    side = set_to_mask(cut.side)
+    side = set_to_mask(g.vertex_set(cut.side))
     x_mask = set_to_mask(X)
     if x_mask & ~side or side & set_to_mask(Y):
         raise InputError("cut is not an (X, Y)-cut")

@@ -304,9 +304,7 @@ def critical_edge_container(
     require_int("q", q, 1)
     require_int("k", k, 0)
     require_int("seed", seed, 0)
-    U = sorted(set(terminals))
-    for v in U:
-        g._check_vertex(v)
+    U = sorted(g.vertex_set(terminals))
     if cache is None:
         cache = FptCache()
     if not U:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .digraph import DiGraph, mask_to_set, out_masks, reach_mask, set_to_mask
+from .digraph import DiGraph, check_vertex, mask_to_set, out_masks, reach_mask, set_to_mask
 from .errors import InputError, require_int
 from .flowcut import Cut, FlowView, _check_terminals, _reach_inside, bind, make_cut
 
@@ -169,13 +169,15 @@ def check_anti_isolation(
     counterexamples can distinguish "invalid instance" from "bound broken".
     """
     require_int("k", k, 0)
-    sinks = list(sinks)
+    try:
+        sinks = list(sinks)
+    except TypeError:
+        raise InputError(f"sinks must be a sequence of vertices, got {sinks!r}") from None
     faults = [frozenset(f) for f in faults]
     if len(sinks) != len(faults):
         raise InputError("one fault set per sink required")
-    g._check_vertex(s)
-    for t in sinks:
-        g._check_vertex(t)
+    check_vertex(s, g.n)
+    g.vertex_set(sinks)
     for f in faults:
         if len(f) > k:
             raise InputError(f"fault set larger than k={k}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import ceil, sqrt
 
 from . import limits
-from .digraph import DiGraph, mask_to_set
+from .digraph import DiGraph, check_vertex, mask_to_set
 from .errors import InputError, require_int
 from .expander import is_unbreakable
 from .flowcut import Cut, FlowView, bind, boundary_edges
@@ -27,7 +27,14 @@ class DemandPairs:
     pairs: tuple[tuple[int, int, int], ...]  # (u, v, clamped lambda)
 
     def path_min(self, u: int, v: int) -> int:
-        """min pair-weight along the unique tree path from u to v."""
+        """min pair-weight along the unique tree path from u to v.
+
+        The tree of :func:`demand_pairs` spans every vertex of its graph, so
+        the vertices are those of a graph on len(pairs) + 1 vertices.
+        """
+        n = len(self.pairs) + 1
+        check_vertex(u, n)
+        check_vertex(v, n)
         if u == v:
             raise InputError("path_min needs distinct endpoints")
         adj: dict[int, list[tuple[int, int]]] = {}
@@ -76,16 +83,21 @@ def demand_pairs(g: DiGraph, k: int) -> DemandPairs:
     return DemandPairs(pairs=tuple(pairs))
 
 
-def _preserves_pairs(probe: FlowView, targets) -> bool:
-    """Does the bound graph meet every (u, v, needed) target?"""
-    for u, v, needed in targets:
-        if needed == 0:
-            continue
-        if probe.value(1 << u, 1 << v, needed) < needed:
-            return False
-        if probe.value(1 << v, 1 << u, needed) < needed:
-            return False
-    return True
+def first_missed_pair(view: FlowView, targets) -> tuple[int, int] | None:
+    """The first (u, v) of the (u, v, want) targets that the bound graph
+    misses, or None when it meets them all.
+
+    A target is met when both flow(u, v) and flow(v, u) reach want; each
+    flow is capped at want.  For a subgraph H of g and want = min(lambda_g,
+    k), this is the test min(lambda_H, k) == want, since lambda_H <=
+    lambda_g.
+    """
+    for u, v, want in targets:
+        if want and (
+            view.value(1 << u, 1 << v, want) < want or view.value(1 << v, 1 << u, want) < want
+        ):
+            return u, v
+    return None
 
 
 def greedy_kconn_preserver(
@@ -127,7 +139,7 @@ def greedy_kconn_preserver(
         if e.tail != e.head:
             oracle_calls += 1
             probe = view.minus_edge(e.tail, e.head)
-            if not _preserves_pairs(probe, targets):
+            if first_missed_pair(probe, targets) is not None:
                 continue
             view = probe
         kept.discard(e.id)

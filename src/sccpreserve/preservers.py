@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .digraph import DiGraph, set_to_mask
+from .digraph import DiGraph, check_vertex, set_to_mask
 from .errors import InputError, require_int
 from .expander import PHI_HALF, build_hierarchy
 from .variants import (
@@ -139,7 +139,7 @@ def sscp_group(g: DiGraph, roots, k: int) -> dict:
     them.
     """
     require_int("k", k, 0)
-    roots = sorted(set(roots))
+    roots = sorted(g.vertex_set(roots))
     oracle = ConnectivityOracle(g, VariantSpec.sourcewise(roots))
     if not roots:
         return {}
@@ -257,8 +257,8 @@ def st_from_global(g: DiGraph, s: int, t: int, k: int, global_builder) -> Preser
     """
     if s == t:
         raise InputError("s and t must differ")
-    g._check_vertex(s)
-    g._check_vertex(t)
+    check_vertex(s, g.n)
+    check_vertex(t, g.n)
     original = g.edge_ids()
     g1 = g.add_edges([(v, s) for v in range(g.n)] + [(t, v) for v in range(g.n)])
     g2 = g.add_edges([(s, v) for v in range(g.n)] + [(v, t) for v in range(g.n)])

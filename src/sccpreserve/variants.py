@@ -56,7 +56,15 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from . import limits
-from .digraph import DiGraph, reach_mask, set_to_mask, shortest_path, tree_arcs
+from .digraph import (
+    DiGraph,
+    check_vertex,
+    mask_ids,
+    reach_mask,
+    round_trip_arcs,
+    set_to_mask,
+    shortest_path,
+)
 from .errors import CapabilityError, InputError, require_int
 
 ALL_PAIRS = "all_pairs"
@@ -101,14 +109,13 @@ class VariantSpec:
         if self.kind not in _KINDS:
             raise InputError(f"unknown variant kind {self.kind!r}")
         if self.kind in (SINGLE_SOURCE, ST):
-            g._check_vertex(self.s)
+            check_vertex(self.s, g.n)
         if self.kind == ST:
-            g._check_vertex(self.t)
+            check_vertex(self.t, g.n)
         if self.kind == SOURCEWISE:
             if self.sources is None:
                 raise InputError("sourcewise spec needs a source set")
-            for v in self.sources:
-                g._check_vertex(v)
+            g.vertex_set(self.sources)
 
     def describe(self) -> dict:
         out = {"variant": self.kind}
@@ -491,8 +498,7 @@ class ConnectivityOracle:
                         done |= comp
                         tails, heads = narrow(comp)
                         if tails:
-                            arcs += tree_arcs(out, root, comp, heads)
-                            arcs += [(w, v) for v, w in tree_arcs(inn, root, comp, tails)]
+                            arcs += round_trip_arcs(out, inn, root, comp, heads, tails)
             return map(pairs_h.__getitem__, arcs)
 
         if translate is not None:
@@ -552,7 +558,7 @@ def first_fault(test, k: int, cap: int, what: str) -> tuple | None:
             child = bits | hop
             if child.bit_count() <= k and child not in seen:
                 seen.add(child)
-                heappush(heap, (child, _ids(child)))
+                heappush(heap, (child, mask_ids(child)))
         if len(seen) > cap:
             raise CapabilityError(f"{what} passed the limit of {cap} fault sets (k={k})")
     return None
@@ -686,12 +692,3 @@ def drop_edge(view: EdgeView, eid: int) -> EdgeView:
 
 def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _ids(mask: int) -> tuple:
-    ids = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        ids.append(bit.bit_length() - 1)
-    return tuple(ids)

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .digraph import DiGraph, mask_to_set, set_to_mask
+from .digraph import DiGraph, check_vertex, mask_to_set, set_to_mask
 from .errors import InputError, require_int
 from .flowcut import bind, boundary_edges
+from .kconn import first_missed_pair
 from .variants import ConnectivityOracle, CriticalityScan, VariantSpec
 
 
@@ -66,22 +67,22 @@ def verify_ft(g: DiGraph, kept_edges, spec: VariantSpec, k: int) -> VerifyResult
     """
     require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
-    spec.validate(g)
-    oracle = ConnectivityOracle(g, spec)
+    oracle = ConnectivityOracle(g, spec)  # validates the spec
     return _verdict(oracle.search_counterexample(kept, k))
 
 
 def verify_kconn(g: DiGraph, kept_edges, k: int) -> VerifyResult:
-    """Check that H preserves min(lambda, k) for every vertex pair."""
+    """Check that H preserves min(lambda, k) for every vertex pair.
+
+    The check is the greedy's own, ``kconn.first_missed_pair``; the
+    counterexample is the first row-major pair it misses.
+    """
     require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
-    view_h = bind(g.restrict_to(kept))
-    for s, t, want in bind(g).symmetric_pairs(k):
-        if want and view_h.symmetric(s, t, k) != want:
-            return VerifyResult(
-                ok=False, counterexample=Counterexample(pair=(s, t), faults=frozenset())
-            )
-    return VerifyResult(ok=True)
+    pair = first_missed_pair(bind(g.restrict_to(kept)), bind(g).symmetric_pairs(k))
+    if pair is None:
+        return VerifyResult(ok=True)
+    return VerifyResult(ok=False, counterexample=Counterexample(pair=pair, faults=frozenset()))
 
 
 def enumerate_critical_edges(g: DiGraph, spec: VariantSpec, k: int) -> frozenset:
@@ -158,15 +159,10 @@ def verify_kconn_by_cuts(g: DiGraph, kept_edges, k: int) -> bool:
     """
     require_int("k", k, 0)
     kept = _check_kept(g, kept_edges)
-    view = bind(g)
-    lam_cache: dict[tuple, int] = {}
+    limits.guard_side_enumeration(g.n)  # before the n^2 flows below
+    want = {(u, v): lam for u, v, lam in bind(g).symmetric_pairs(k)}
     for s, t, _, boundary in _minimal_symmetric_cuts(g):
-        key = (min(s, t), max(s, t))
-        lam = lam_cache.get(key)
-        if lam is None:
-            lam = view.symmetric(key[0], key[1], k)
-            lam_cache[key] = lam
-        if len(boundary & kept) < lam:
+        if len(boundary & kept) < want[min(s, t), max(s, t)]:
             return False
     return True
 
@@ -182,7 +178,7 @@ def _witness_stands(g: DiGraph, kept_edges, cross_edge: int, fault, s: int, y: i
     """
     kept = _check_kept(g, kept_edges)
     g.edge(cross_edge)
-    g._check_vertex(y)
+    check_vertex(y, g.n)
     oracle = ConnectivityOracle(g, VariantSpec.single_source(s))
     view = oracle.bind(g.edge_ids())
     y_bit = 1 << y

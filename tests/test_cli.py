@@ -265,6 +265,37 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert err.startswith("error:")
 
 
+_VARIANT_MESSAGES = [
+    (("--variant", "single-source"), "--source required for single-source"),
+    (("--variant", "st", "--source", "0"), "--source and --target required for st"),
+    (("--variant", "st", "--target", "1"), "--source and --target required for st"),
+    (("--variant", "sourcewise"), "--sources required for sourcewise"),
+    (("--variant", "sourcewise", "--sources", ","), "--sources required for sourcewise"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        *((command, flags, message)
+          for command in ("build", "verify", "critical")
+          for flags, message in _VARIANT_MESSAGES),
+        # build and verify read --variant kconn without a fault-tolerant spec
+        ("critical", ("--variant", "kconn"), "variant kconn has no fault-tolerant spec"),
+    ],
+)
+def test_variant_spec_messages(tmp_path, capsys, command, flags, message):
+    gpath = tmp_path / "g.txt"
+    g = gen_random(5, 8, 0, ensure_strongly_connected=True)
+    dump(g, str(gpath))
+    ppath = tmp_path / "p.json"
+    ppath.write_text(json.dumps(sorted(g.edge_ids())))
+    extra = ("--preserver", str(ppath)) if command == "verify" else ()
+    code, _, err = run_cli(capsys, command, "--graph", str(gpath), "-k", "1", *extra, *flags)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_hierarchy_json(tmp_path, capsys):
     gpath = str(tmp_path / "g.txt")
     dump(gen_random(8, 18, 3, ensure_strongly_connected=True), gpath)

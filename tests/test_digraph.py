@@ -8,7 +8,28 @@ from sccpreserve.digraph import (
     DiGraph, Edge, parse, reach_mask, scc, serialize, shortest_path,
 )
 from sccpreserve.errors import CapabilityError, InputError
+from sccpreserve.expander import giant_component_check, is_unbreakable, sparsest_cut_wrt
 from sccpreserve.families import gen_random
+from sccpreserve.flowcut import (
+    Cut,
+    bind,
+    canonicalize_in_reachable,
+    canonicalize_out_reachable,
+    farthest_min_cut,
+    flow_value,
+    max_flow,
+    symmetric_connectivity,
+)
+from sccpreserve.fpt import critical_edge_container
+from sccpreserve.impcut import (
+    check_anti_isolation,
+    enumerate_important_cuts,
+    important_cut_container,
+)
+from sccpreserve.kconn import demand_pairs
+from sccpreserve.preservers import sscp_group
+from sccpreserve.variants import SOURCEWISE, ConnectivityOracle, VariantSpec
+from sccpreserve.verify import verify_ft
 
 from conftest import bidirected_triangle, three_cycle
 from oracles import scc_sets_ref
@@ -231,3 +252,71 @@ def test_shortest_path_matches_full_reach():
     assert shortest_path([0, 0b01], 0, 1) is None
     # two shortest paths 0-1-3 and 0-2-3: the walk back takes the lower one
     assert shortest_path([0b0110, 0b1000, 0b1000, 0], 0, 3) == [0, 1, 3]
+
+
+_BAD_VERTICES = (True, 1.5, "1", None)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a vertex set that is not an iterable
+        pytest.param(lambda g: g.induced(5), id="induced"),
+        pytest.param(lambda g: is_unbreakable(g, 5, 1, 1), id="unbreakable"),
+        pytest.param(lambda g: giant_component_check(g, 5, 0, 1), id="giant"),
+        pytest.param(lambda g: sparsest_cut_wrt(g, 5, "1/2"), id="sparsest-cut"),
+        pytest.param(lambda g: flow_value(g, 5, [0]), id="flow-value"),
+        pytest.param(lambda g: max_flow(g, [0], 5), id="max-flow"),
+        pytest.param(lambda g: farthest_min_cut(g, 5, [0]), id="farthest-min-cut"),
+        pytest.param(lambda g: important_cut_container(g, 5, [0], 1), id="container"),
+        pytest.param(lambda g: enumerate_important_cuts(g, [0], 5, 1), id="important-cuts"),
+        pytest.param(
+            lambda g: canonicalize_out_reachable(g, Cut(5, "out", frozenset()), [0], [3]),
+            id="canonical-out-side",
+        ),
+        pytest.param(
+            lambda g: canonicalize_in_reachable(g, Cut(5, "in", frozenset()), [0], [3]),
+            id="canonical-in-side",
+        ),
+        pytest.param(lambda g: critical_edge_container(g, 5, 1, 1, 0), id="critical-container"),
+        pytest.param(lambda g: check_anti_isolation(g, 0, 5, [], 1), id="anti-isolation"),
+        pytest.param(lambda g: sscp_group(g, 5, 1), id="sscp-group"),
+        pytest.param(
+            lambda g: ConnectivityOracle(g, VariantSpec(SOURCEWISE, sources=5)),
+            id="sourcewise-spec",
+        ),
+        pytest.param(
+            lambda g: verify_ft(g, g.edge_ids(), VariantSpec(SOURCEWISE, sources=5), 1),
+            id="verify-sourcewise-spec",
+        ),
+        # a vertex that is not an int in [0, n): a bool, a float, a str, None
+        *(
+            pytest.param(lambda g, v=v: symmetric_connectivity(g, v, 0, 1), id=f"symmetric-{v!r}")
+            for v in _BAD_VERTICES
+        ),
+        *(
+            pytest.param(lambda g, v=v: bind(g).symmetric(0, v, 1), id=f"view-symmetric-{v!r}")
+            for v in _BAD_VERTICES
+        ),
+        *(
+            pytest.param(lambda g, v=v: demand_pairs(g, 1).path_min(v, 0), id=f"path-min-{v!r}")
+            for v in _BAD_VERTICES
+        ),
+        # checked before the k = 0 shortcut
+        pytest.param(lambda g: symmetric_connectivity(g, 0, 9, 0), id="symmetric-k0-range"),
+    ],
+)
+def test_bad_vertices_raise_input_error(call):
+    # each entry point checks its vertices by digraph.check_vertex, through
+    # DiGraph.vertex_set for a collection of them
+    with pytest.raises(InputError):
+        call(gen_random(8, 20, 1, True))
+
+
+def test_vertex_set_is_the_checked_frozenset():
+    g = gen_random(4, 6, 0)
+    assert g.vertex_set(iter([3, 0, 3])) == frozenset({0, 3})
+    assert g.vertex_set(()) == frozenset()
+    for bad in ([4], [-1], [True], [[0]], 0):
+        with pytest.raises(InputError):
+            g.vertex_set(bad)

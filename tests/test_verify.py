@@ -4,6 +4,7 @@ import pytest
 
 from sccpreserve.digraph import DiGraph
 from sccpreserve.errors import CapabilityError, InputError
+from sccpreserve.flowcut import bind
 from sccpreserve.preservers import greedy_preserver
 from sccpreserve.families import (
     gen_bounded_degree_lower,
@@ -186,6 +187,37 @@ def test_verify_kconn_examples():
     assert not res.ok and res.counterexample.pair is not None
     cycle_ids = {0, 4, 3}  # (0,1), (1,2), (2,0): a directed 3-cycle
     assert verify_kconn(g, cycle_ids, 1).ok
+
+
+def _verify_kconn_by_symmetric(g, kept, k):
+    """Reference: the first row-major pair whose clamped connectivity in H,
+    read whole by ``FlowView.symmetric``, differs from g's."""
+    view_h = bind(g.restrict_to(kept))
+    for s, t, want in bind(g).symmetric_pairs(k):
+        if want and view_h.symmetric(s, t, k) != want:
+            return s, t
+    return None
+
+
+def test_verify_kconn_matches_symmetric_rule():
+    # verify_kconn shares kconn's pair-target check, whose two flows are each
+    # capped at the target; verdict and pair must equal the whole-symmetric rule
+    rng = random.Random(28)
+    failing = 0
+    for trial in range(300):
+        n = rng.randrange(2, 7)
+        g = gen_random(n, rng.randrange(n, 3 * n), trial, rng.random() < 0.6)
+        ids = sorted(g.edge_ids())
+        kept = rng.sample(ids, rng.randrange(len(ids) + 1))
+        k = rng.randrange(0, 4)
+        want = _verify_kconn_by_symmetric(g, kept, k)
+        res = verify_kconn(g, kept, k)
+        assert res.ok == (want is None)
+        if want is not None:
+            failing += 1
+            assert res.counterexample.pair == want
+            assert res.counterexample.faults == frozenset()
+    assert 50 < failing < 250
 
 
 def test_enumerate_critical_edges_examples():
