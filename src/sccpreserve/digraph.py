@@ -88,12 +88,19 @@ class DiGraph:
 
         Anything that is not an iterable of hashables raises InputError.
         """
-        try:
-            checked = frozenset(vertices)
-        except TypeError:
-            raise InputError(f"expected a collection of vertices, got {vertices!r}") from None
+        checked = id_set(vertices, "vertices")
         for v in checked:
             check_vertex(v, self.n)
+        return checked
+
+    def edge_set(self, edge_ids: Iterable[int]) -> frozenset:
+        """The given edge ids as a frozenset, each one an id of this graph.
+
+        Anything that is not an iterable of hashables raises InputError.
+        """
+        checked = id_set(edge_ids, "edge ids")
+        for eid in checked:
+            self.edge(eid)
         return checked
 
     def signature(self) -> tuple:
@@ -125,16 +132,11 @@ class DiGraph:
 
     def remove_edges(self, fault: Iterable[int]) -> "DiGraph":
         """Graph minus the given edge ids: the restriction to every other id."""
-        fault = frozenset(fault)
-        for eid in fault:
-            self.edge(eid)
-        return self.restrict_to(self._by_id.keys() - fault)
+        return self.restrict_to(self._by_id.keys() - self.edge_set(fault))
 
     def restrict_to(self, edge_ids: Iterable[int]) -> "DiGraph":
         """Subgraph keeping exactly the given edge ids (a preserver view)."""
-        wanted = frozenset(edge_ids)
-        for eid in wanted:
-            self.edge(eid)
+        wanted = self.edge_set(edge_ids)
         keep = [e for e in self.edges if e.id in wanted]
         return DiGraph(self.n, _records=keep)
 
@@ -169,6 +171,19 @@ class DiGraph:
             if e.tail in local and e.head in local
         ]
         return DiGraph(len(to_parent), _records=records), to_parent
+
+
+def id_set(items: Iterable, what: str) -> frozenset:
+    """``items`` as a frozenset; InputError unless an iterable of hashables.
+
+    The one conversion of a collection of vertices or edge ids: the
+    :class:`DiGraph` methods ``vertex_set`` and ``edge_set`` then check each
+    member against the graph.
+    """
+    try:
+        return frozenset(items)
+    except TypeError:
+        raise InputError(f"expected a collection of {what}, got {items!r}") from None
 
 
 def check_vertex(v, n: int) -> None:

@@ -21,37 +21,48 @@ except the ones into v, plus the ones leaving v except the ones into R:
     b[S] = b[R] + outdeg(v) - c(v -> R) - c(R -> v)
 
 (self-loops not in outdeg, parallel edges counted with multiplicity).  The
-masks with highest vertex v are the block [2^v, 2^(v+1)), so the table grows
-one block per vertex.  The block's increments
-w_v[R] = outdeg(v) - c(v -> R) - c(R -> v) grow the same way, one doubling
-per u < v that subtracts m(v, u) + m(u, v).  The table depends on the graph
-only, so the hierarchy build makes one per subgraph and rescans it for each
-shrinking terminal set.
+table is packed: one big integer of 2^n fixed-width lanes, lane S holding
+b[S], written out once as an array of that width.  The masks with highest
+vertex v are the block [2^v, 2^(v+1)), which is the lanes below 2^v plus
+outdeg(v) in every lane minus the lanes c(v -> R) + c(R -> v), shifted up
+by 2^v lanes: a handful of whole-integer additions, subtractions and
+shifts per vertex, with no per-mask Python step.  No lane ever carries or
+borrows, and the lane width is the narrowest that holds the number of
+non-loop edges; :func:`_boundary_table` has both arguments.  The table
+depends on the graph only, so the hierarchy build makes one per subgraph
+and rescans it for each shrinking terminal set.
 
 A scan reads only the sides that could be returned.  The smaller terminal
 side holds at most floor(|U|/2) terminals and b[S] is an integer, so a side
 of ratio at most phi has b[S] <= L = floor(phi * floor(|U|/2)).  The masks
 with b[S] <= L are taken in ascending order, so the tie-break (smallest
 mask among equal ratios) is that of a scan of every mask: all sides of the
-minimum ratio pass the filter when that ratio is at most phi.  Between the
-hierarchy's rounds on one table, U strictly shrinks and L never grows, so
-each round filters the list the round before it kept.
+minimum ratio pass the filter when that ratio is at most phi.  The first
+scan of a table picks them from the packed bytes through lookup tables
+(:func:`_masks_at_most`).  Between the hierarchy's rounds on one table, U
+strictly shrinks and L never grows, so each later round filters the list
+the round before it kept.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
 from math import comb, floor
-from operator import add
 
 from . import limits
 from .digraph import DiGraph, mask_to_set, round_trip_arcs, scc, set_to_mask
 from .errors import CapabilityError, InputError, require_int
 from .flowcut import Cut, bind, make_cut
 from .variants import ConnectivityOracle, VariantSpec, first_fault
+
+
+# array typecode of each lane width in bytes, narrowest first
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _fraction(phi) -> Fraction:
@@ -162,14 +173,29 @@ def giant_component_check(g: DiGraph, terminals, q: int, k: int) -> bool:
     return first_fault(test, k, limits.max_fault_sets(), "giant-component search") is None
 
 
-def _boundary_table(g: DiGraph) -> list[int]:
+def _boundary_table(g: DiGraph) -> array:
     """b[S] = number of non-loop edges from S to V - S, for all 2^n masks S.
 
-    Built by the recurrence in the module docstring, one block of masks per
-    highest vertex v: b[2^v + R] = b[R] + w_v[R] for R < 2^v, where
-    w_v[R] = outdeg(v) - sum over u in R of m(v, u) + m(u, v).  Doubling w
-    for u = 0 .. v-1 appends the masks that hold u, each one with
-    m(v, u) + m(u, v) subtracted.
+    Returns an array with one lane per mask, lane S = b[S], indexed as
+    ints; its ``itemsize`` is the lane width w in bytes.  The lanes are
+    built inside one integer T, lane S at bits [8wS, 8w(S+1)), then
+    converted once.  ones[u] has a 1 in each of 2^u lanes.  Per vertex v,
+    INTO_v[R] = c(v -> R) + c(R -> v) over the masks R < 2^v starts as one
+    zero lane and doubles once per u < v: the copy shifted up by 2^u lanes
+    holds the masks that contain u, so it adds m(v, u) + m(u, v) to every
+    lane (ones[u] times it).  The block of v is then
+    T + outdeg(v) * ones[v] - INTO_v, shifted up by 2^v lanes into T.
+
+    No carry, no borrow.  Let m' be the number of non-loop edges.  b[R]
+    counts edges with tail in R and outdeg(v) edges with tail v, not in R,
+    so each lane of T + outdeg(v) * ones[v] is at most m'.  Each INTO lane
+    counts edges between v and R, also at most m'.  And c(v -> R) <=
+    outdeg(v), while c(R -> v) <= b[R], since an edge from R into v leaves
+    R, so every lane of the difference is at least 0.  Every intermediate
+    lane thus lies in [0, m'], and whole-integer arithmetic is lane-wise
+    arithmetic as long as a lane holds m'.  Lane width: the narrowest of
+    1, 2, 4 and 8 bytes with 256^w > m', so one byte up to 255 edges.  One
+    code path serves every width.
     """
     n = g.n
     both = [[0] * n for _ in range(n)]  # both[v][u] = m(v, u) + m(u, v)
@@ -179,18 +205,57 @@ def _boundary_table(g: DiGraph) -> list[int]:
             outdeg[e.tail] += 1
             both[e.tail][e.head] += 1
             both[e.head][e.tail] += 1
-    table = [0]
+    width = next(w for w in _LANE_CODES if sum(outdeg) < 1 << 8 * w)
+    bits = 8 * width
+    ones = [1]  # ones[u]: a 1 in each of 2^u lanes, for u < n
+    for u in range(n - 1):
+        ones.append(ones[u] | ones[u] << (bits << u))
+    table = 0  # the lanes of the masks below 2^v
     for v in range(n):
-        w = [outdeg[v]]
-        for u in range(v):
-            c = both[v][u]
-            w += list(map((-c).__add__, w)) if c else w
-        table += list(map(add, table, w))
-    return table
+        into = 0  # INTO_v over the masks below 2^u
+        for u, c in enumerate(both[v][:v]):
+            into |= (into + c * ones[u] if c else into) << (bits << u)
+        table |= (table + outdeg[v] * ones[v] - into) << (bits << v)
+    lanes = array(_LANE_CODES[width], table.to_bytes(width << n, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
+def _masks_at_most(table: array, bound: int) -> list[int]:
+    """The masks S with b[S] <= bound, ascending, picked at C speed.
+
+    Plane i holds byte i (by significance) of every lane, and digit i is
+    byte i of the bound.  Let F_i flag the lanes whose bytes 0 .. i, read
+    as a number, are at most digits 0 .. i.  Then F_0 = [byte 0 <= digit 0]
+    and F_i = [byte i < digit i] or ([byte i == digit i] and F_(i-1)), and
+    the last F flags b[S] <= bound.  Each bracket is one ``translate`` of a
+    plane through a 256-byte lookup table into a 0/1 byte per mask, built
+    in the call; the flags combine as integers.  One-byte lanes need F_0
+    only.  ``compress`` then keeps the flagged masks.  A bound past what a
+    lane can hold is lowered to that, and a negative one keeps no mask.
+    """
+    if bound < 0:
+        return []
+    size, width = len(table), table.itemsize
+    digits = min(bound, (1 << 8 * width) - 1).to_bytes(width, "little")
+    raw = memoryview(table).cast("B")
+    little = sys.byteorder == "little"
+    planes = [raw[i if little else width - 1 - i::width].tobytes() for i in range(width)]
+    low = digits[0]
+    flags = planes[0].translate(b"\1" * (low + 1) + bytes(255 - low))
+    for plane, digit in zip(planes[1:], digits[1:]):
+        below = plane.translate(b"\1" * digit + bytes(256 - digit))
+        same = plane.translate(bytes(digit) + b"\1" + bytes(255 - digit))
+        flags = (
+            int.from_bytes(below, "little")
+            | int.from_bytes(same, "little") & int.from_bytes(flags, "little")
+        ).to_bytes(size, "little")
+    return list(compress(range(size), flags))
 
 
 def _sparsest_side(
-    table: list[int], u_mask: int, phi: Fraction, masks: list[int] | None = None
+    table: array, u_mask: int, phi: Fraction, masks: list[int] | None = None
 ) -> tuple[int | None, list[int]]:
     """Smallest side mask of minimum ratio b[S] / min-terminal-side, if <= phi.
 
@@ -210,15 +275,17 @@ def _sparsest_side(
     first, as a scan of all 2^n masks would.  Otherwise every scanned ratio
     is above phi too, and the answer is None either way.
 
-    ``masks``, when given, is the list an earlier call returned on the same
-    table with the same phi and a terminal set at least as large: L never
-    grows as |U| shrinks, so every mask with b[S] <= L is still in it, and
-    filtering it again gives the list a filter of the whole table would.
+    Without ``masks`` the filter reads the whole packed table through
+    :func:`_masks_at_most`.  ``masks``, when given, is the list an earlier
+    call returned on the same table with the same phi and a terminal set at
+    least as large: L never grows as |U| shrinks, so every mask with
+    b[S] <= L is still in it, and filtering it again gives the list a
+    filter of the whole table would.
     """
     total = u_mask.bit_count()
     bound = floor(phi * (total // 2))
     if masks is None:
-        masks = list(compress(range(len(table)), map(bound.__ge__, table)))
+        masks = _masks_at_most(table, bound)
     else:
         masks = [mask for mask in masks if table[mask] <= bound]
     best_boundary, best_small, best_mask = 1, 0, 0  # ratio 1/0: none yet
@@ -241,12 +308,13 @@ def sparsest_cut_wrt(g: DiGraph, terminals, phi) -> Cut | None:
     ratio is at most phi, otherwise None, meaning the terminal set is
     phi-expanding.  The boundary counts edges leaving the side.
 
-    Every side's boundary comes from one table of 2^n counts built by the
-    subset recurrence b[S] = b[R] + outdeg(v) - c(v -> R) - c(R -> v), with
-    v the highest vertex of S and R = S - {v}: of the edges leaving R, those
-    into v no longer leave S, and of the non-loop edges leaving v, those
-    into R stay inside S.  Raises CapabilityError past
-    ``limits.exact_cut_limit()`` vertices before the table is built.
+    Every side's boundary comes from one packed table of 2^n counts built
+    by the subset recurrence b[S] = b[R] + outdeg(v) - c(v -> R) - c(R -> v),
+    with v the highest vertex of S and R = S - {v}: of the edges leaving R,
+    those into v no longer leave S, and of the non-loop edges leaving v,
+    those into R stay inside S (see :func:`_boundary_table`).  Raises
+    CapabilityError past ``limits.exact_cut_limit()`` vertices before the
+    table is built.
     """
     U = g.vertex_set(terminals)
     if len(U) < 2:
@@ -421,6 +489,8 @@ def build_hierarchy(
     ``verify_certificates`` each piece's terminals go through the
     unbreakability oracle (desk-scale only).
     """
+    if not isinstance(params, HierarchyParams):
+        raise InputError(f"params must be a HierarchyParams, got {params!r}")
     state = {"exact": True}
     ctx = (params, limits.exact_cut_limit(), state)
     top = scc(g)

@@ -373,8 +373,15 @@ class FptContainerResult:
 
 
 def container_params(n: int, k: int) -> tuple[int, int]:
-    """(q for the sampling construction, k parameter of the hierarchy)."""
-    kh = 2**k
+    """(q for the sampling construction, k parameter of the hierarchy).
+
+    k is capped at n's bit length before 2^k is formed, so a huge k costs
+    nothing.  The cap changes no container: past it 2^k > n, so q > n, and
+    every q >= |U| gives the same one.  All of U are roots (5q^2 >= |U|),
+    U is the one sample (|U| <= q), and no vertex collects more than
+    2 * lambda * q terminals.
+    """
+    kh = 2 ** min(k, max(n, 1).bit_length())
     q = max(1, ceil(kh * sqrt(max(1.0, log(max(n, 1))))))
     return q, kh
 
@@ -388,9 +395,14 @@ def fpt_container_all_pairs(
     per (level, SCC of the prefix graph) the sampling container runs on the
     induced subgraph.  With high probability the union contains every
     k-fault critical edge of g.
+
+    A k above m(g) is lowered to m(g): a fault set is a set of g's edges,
+    so every k >= m(g) admits the same fault sets, hence the same critical
+    edges, which the container for m(g) holds.
     """
     require_int("k", k, 0)
     require_int("seed", seed, 0)
+    k = min(k, g.m)
     if cache is None:
         cache = FptCache()
     if g.n == 0:

@@ -170,19 +170,18 @@ def check_anti_isolation(
     """
     require_int("k", k, 0)
     try:
-        sinks = list(sinks)
+        sinks, faults = list(sinks), list(faults)
     except TypeError:
-        raise InputError(f"sinks must be a sequence of vertices, got {sinks!r}") from None
-    faults = [frozenset(f) for f in faults]
+        raise InputError(
+            f"sinks and faults must be sequences, got {sinks!r} and {faults!r}"
+        ) from None
+    faults = [g.edge_set(f) for f in faults]
     if len(sinks) != len(faults):
         raise InputError("one fault set per sink required")
     check_vertex(s, g.n)
     g.vertex_set(sinks)
-    for f in faults:
-        if len(f) > k:
-            raise InputError(f"fault set larger than k={k}")
-        for eid in f:
-            g.edge(eid)
+    if any(len(f) > k for f in faults):
+        raise InputError(f"fault set larger than k={k}")
     r = len(sinks)
     valid = True
     for i, f in enumerate(faults):

@@ -59,6 +59,7 @@ from . import limits
 from .digraph import (
     DiGraph,
     check_vertex,
+    id_set,
     mask_ids,
     reach_mask,
     round_trip_arcs,
@@ -99,7 +100,7 @@ class VariantSpec:
 
     @staticmethod
     def sourcewise(sources) -> "VariantSpec":
-        return VariantSpec(SOURCEWISE, sources=frozenset(sources))
+        return VariantSpec(SOURCEWISE, sources=id_set(sources, "vertices"))
 
     @staticmethod
     def global_() -> "VariantSpec":

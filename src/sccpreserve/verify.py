@@ -43,13 +43,6 @@ class VerifyResult:
     counterexample: Counterexample | None = None
 
 
-def _check_kept(g: DiGraph, kept_edges) -> frozenset:
-    kept = frozenset(kept_edges)
-    for eid in kept:
-        g.edge(eid)
-    return kept
-
-
 def _verdict(hit) -> VerifyResult:
     """VerifyResult of a ``(faults, pair)`` hit of ``search_counterexample``
     (None means verified); faults are edge ids, or colors for families."""
@@ -66,7 +59,7 @@ def verify_ft(g: DiGraph, kept_edges, spec: VariantSpec, k: int) -> VerifyResult
     and raises CapabilityError past ``limits.max_fault_sets()``.
     """
     require_int("k", k, 0)
-    kept = _check_kept(g, kept_edges)
+    kept = g.edge_set(kept_edges)
     oracle = ConnectivityOracle(g, spec)  # validates the spec
     return _verdict(oracle.search_counterexample(kept, k))
 
@@ -78,7 +71,7 @@ def verify_kconn(g: DiGraph, kept_edges, k: int) -> VerifyResult:
     counterexample is the first row-major pair it misses.
     """
     require_int("k", k, 0)
-    kept = _check_kept(g, kept_edges)
+    kept = g.edge_set(kept_edges)
     pair = first_missed_pair(bind(g.restrict_to(kept)), bind(g).symmetric_pairs(k))
     if pair is None:
         return VerifyResult(ok=True)
@@ -142,7 +135,7 @@ def verify_ft_by_cuts(g: DiGraph, kept_edges, k: int) -> bool:
     Agrees with the flow-based ``verify_ft`` on the all-pairs variant.
     """
     require_int("k", k, 0)
-    kept = _check_kept(g, kept_edges)
+    kept = g.edge_set(kept_edges)
     for _, _, _, boundary in _minimal_symmetric_cuts(g):
         in_h = len(boundary & kept)
         in_g = len(boundary)
@@ -158,7 +151,7 @@ def verify_kconn_by_cuts(g: DiGraph, kept_edges, k: int) -> bool:
     edges in H.  Agrees with the flow-based ``verify_kconn``.
     """
     require_int("k", k, 0)
-    kept = _check_kept(g, kept_edges)
+    kept = g.edge_set(kept_edges)
     limits.guard_side_enumeration(g.n)  # before the n^2 flows below
     want = {(u, v): lam for u, v, lam in bind(g).symmetric_pairs(k)}
     for s, t, _, boundary in _minimal_symmetric_cuts(g):
@@ -176,7 +169,7 @@ def _witness_stands(g: DiGraph, kept_edges, cross_edge: int, fault, s: int, y: i
     One single-source(s) oracle view of g gives s's component under both
     fault sets; a twin of cross_edge outside F keeps the pair adjacent.
     """
-    kept = _check_kept(g, kept_edges)
+    kept = g.edge_set(kept_edges)
     g.edge(cross_edge)
     check_vertex(y, g.n)
     oracle = ConnectivityOracle(g, VariantSpec.single_source(s))
@@ -234,7 +227,7 @@ def verify_bounded_degree_ft(g: DiGraph, kept_edges) -> VerifyResult:
     Matchings are closed under subsets, so ``first_fault``'s lemma holds
     over them.
     """
-    kept = _check_kept(g, kept_edges)
+    kept = g.edge_set(kept_edges)
     ends = {e.id: 1 << e.tail | 1 << e.head for e in g.edges}
 
     def lift(fault, hops):
@@ -273,7 +266,7 @@ def verify_color_ft(g: DiGraph, kept_edges, k: int = 1) -> VerifyResult:
     needs.
     """
     require_int("k", k, 0)
-    kept = _check_kept(g, kept_edges)
+    kept = g.edge_set(kept_edges)
     if any(e.color is None for e in g.edges):
         raise InputError("color-fault verification needs every edge colored")
     colors = sorted({e.color for e in g.edges})
@@ -300,7 +293,7 @@ def verify_bounded_degree_witness(
     cross_edge is also removed; a preserver must then keep cross_edge, and
     the check confirms that kept_edges does.
     """
-    fault = frozenset(fault)
+    fault = g.edge_set(fault)
     incident: dict[int, int] = {}
     for eid in fault:
         e = g.edge(eid)

@@ -355,3 +355,29 @@ def sparsest_cut_ref(g, terminals, phi):
     if best is None or best[0] > Fraction(phi):
         return None
     return best[1], best[2]
+
+
+def boundary_table_ref(g):
+    """b[S] = non-loop edges from S to V - S, for every mask S, as a list.
+
+    The recurrence b[S] = b[R] + outdeg(v) - c(v -> R) - c(R -> v), with v
+    the highest vertex of S and R = S - {v}, run one list element at a time:
+    the block of masks with highest vertex v is b[R] plus an increment list
+    w_v that doubles once per u < v, subtracting m(v, u) + m(u, v) in its
+    new half.
+    """
+    n = g.n
+    both = [[0] * n for _ in range(n)]
+    outdeg = [0] * n
+    for e in g.edges:
+        if e.tail != e.head:
+            outdeg[e.tail] += 1
+            both[e.tail][e.head] += 1
+            both[e.head][e.tail] += 1
+    table = [0]
+    for v in range(n):
+        w = [outdeg[v]]
+        for u in range(v):
+            w += [x - both[v][u] for x in w]
+        table += [b + x for b, x in zip(table, w)]
+    return table

@@ -151,6 +151,16 @@ def test_capability_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "capability" in err
 
 
+def test_fpt_at_huge_k_exits_zero(tmp_path, capsys):
+    # exited 1 with a bare OverflowError from 2**k times a float
+    gpath = str(tmp_path / "g.txt")
+    dump(gen_random(6, 12, 1, ensure_strongly_connected=True), gpath)
+    code, out, _ = run_cli(capsys, "build", "--graph", gpath, "--algo", "fpt",
+                           "-k", "1100", "--seed", "7", "--json")
+    assert code == 0
+    assert json.loads(out)["params"]["k"] == 1100
+
+
 @pytest.mark.parametrize("command", ["build", "verify", "hierarchy"])
 def test_huge_graph_file_is_capability_error(tmp_path, command):
     # past the generators' vertex cap a graph file is refused before any

@@ -313,6 +313,34 @@ def test_bad_vertices_raise_input_error(call):
         call(gen_random(8, 20, 1, True))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g: g.restrict_to(5), id="restrict-to"),
+        pytest.param(lambda g: g.remove_edges(5), id="remove-edges"),
+        pytest.param(lambda g: verify_ft(g, 5, VariantSpec.all_pairs(), 1), id="verify-kept"),
+        pytest.param(lambda g: check_anti_isolation(g, 0, [1], 5, 1), id="anti-isolation-faults"),
+        pytest.param(lambda g: check_anti_isolation(g, 0, [1], [5], 1), id="anti-isolation-fault"),
+        pytest.param(lambda g: VariantSpec.sourcewise(5), id="sourcewise"),
+        pytest.param(lambda g: g.edge_set([[0]]), id="unhashable-id"),
+    ],
+)
+def test_non_iterable_id_collections_raise_input_error(call):
+    # edge ids go through DiGraph.edge_set, a spec's sources through
+    # digraph.id_set; each raised a bare TypeError before
+    with pytest.raises(InputError, match="expected a collection|must be sequences"):
+        call(gen_random(6, 12, 1, True))
+
+
+def test_edge_set_is_the_checked_frozenset():
+    g = gen_random(4, 6, 0)
+    assert g.edge_set(iter([5, 0, 5])) == frozenset({0, 5})
+    assert g.edge_set(()) == frozenset()
+    for bad in ([6], [-1], ["0"], 0):
+        with pytest.raises(InputError):
+            g.edge_set(bad)
+
+
 def test_vertex_set_is_the_checked_frozenset():
     g = gen_random(4, 6, 0)
     assert g.vertex_set(iter([3, 0, 3])) == frozenset({0, 3})

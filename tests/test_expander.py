@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,12 @@ from sccpreserve.expander import (
 from sccpreserve.families import gen_random
 
 from conftest import bidirected_k4, directed_path, loopy_multigraph
-from oracles import sparsest_cut_ref, unbreakable_ref, unbreakable_witness_ref
+from oracles import (
+    boundary_table_ref,
+    sparsest_cut_ref,
+    unbreakable_ref,
+    unbreakable_witness_ref,
+)
 
 
 def test_small_terminal_sets_vacuously_unbreakable():
@@ -209,6 +215,70 @@ def test_sparsest_cut_matches_reference():
     assert found > 50 and absent > 50
 
 
+def _boundaries_by_edges(g):
+    """b[S] for every mask S, counted from the edge list."""
+    pairs = Counter((e.tail, e.head) for e in g.edges if e.tail != e.head)
+    return [
+        sum(c for (t, h), c in pairs.items() if mask >> t & 1 and not mask >> h & 1)
+        for mask in range(1 << g.n)
+    ]
+
+
+def test_boundary_table_counts_edges():
+    rng = random.Random(57)
+    graphs = [DiGraph(0), DiGraph(1, [(0, 0), (0, 0)]), DiGraph(3)]
+    graphs += [loopy_multigraph(rng, n) for n in range(2, 11) for _ in range(3)]
+    graphs += [gen_random(n, 3 * n, n, ensure_strongly_connected=True) for n in (9, 10)]
+    for g in graphs:
+        table = expander._boundary_table(g)
+        assert table.itemsize == 1
+        assert list(table) == _boundaries_by_edges(g)
+
+
+def test_boundary_table_matches_list_recurrence_at_n18():
+    g = gen_random(18, 120, 1, ensure_strongly_connected=True)
+    assert list(expander._boundary_table(g)) == boundary_table_ref(g)
+
+
+@pytest.mark.parametrize("edges, width", [(255, 1), (256, 2), (300, 2), (65536, 4)])
+def test_boundary_table_wide_lanes(edges, width):
+    # ``edges`` non-loop edges: a 5-cycle and parallel copies of (0, 1),
+    # plus loops, which no lane counts
+    cycle = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    g = DiGraph(5, cycle + [(0, 1)] * (edges - 5) + [(2, 2)] * 300)
+    table = expander._boundary_table(g)
+    assert table.itemsize == width
+    want = _boundaries_by_edges(g)
+    assert list(table) == want
+    for bound in (-1, 0, 1, 2, 254, 255, 256, 257, 299, 300, 511, 65535, 65536, 10**12):
+        assert expander._masks_at_most(table, bound) == [
+            mask for mask, b in enumerate(want) if b <= bound
+        ]
+
+
+def test_sparsest_side_filter_bounds():
+    # L = floor(phi * floor(|U| / 2)) at 0, inside the table's range, and at
+    # or above its largest entry, where the filter keeps every mask
+    rng = random.Random(61)
+    seen = Counter()
+    for g in list(_cut_hosts(rng))[:60]:
+        table = expander._boundary_table(g)
+        top = max(table)
+        everyone = range(g.n)
+        half = g.n // 2
+        for phi in (Fraction(-1), Fraction(1, g.n + 1), Fraction(1, 2), Fraction(3, 2),
+                    Fraction(10**12)):
+            bound = math.floor(phi * half)
+            mask, masks = expander._sparsest_side(table, (1 << g.n) - 1, phi)
+            assert masks == [s for s in range(1 << g.n) if table[s] <= bound]
+            ref = sparsest_cut_ref(g, everyone, phi)
+            got = None if mask is None else frozenset(v for v in everyone if mask >> v & 1)
+            assert got == (None if ref is None else ref[0])
+            seen["negative" if bound < 0 else "zero" if bound == 0
+                 else "inside" if bound < top else "top"] += 1
+    assert min(seen.values()) > 10 and len(seen) == 4
+
+
 def _expanding_terminals_fresh(sub, params, cut_cap, state):
     # the hierarchy's shrinking loop with one full search per round
     terminals = set(range(sub.n))
@@ -285,6 +355,13 @@ def test_hierarchy_path():
     hier = build_hierarchy(directed_path(4), HierarchyParams(q=2, k=1))
     assert hier.depth <= 3
     assert all(c.unbreakable for c in hier.certificates)
+
+
+@pytest.mark.parametrize("params", [None, (2, 1), {"q": 2, "k": 1}, Fraction(1, 2)])
+def test_build_hierarchy_needs_hierarchy_params(params):
+    # None raised a bare AttributeError on params.phi
+    with pytest.raises(InputError, match="HierarchyParams"):
+        build_hierarchy(bidirected_k4(), params)
 
 
 def test_hierarchy_params_validated():

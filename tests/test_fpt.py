@@ -323,6 +323,21 @@ def test_hierarchy_memo_serves_every_k(monkeypatch):
             assert (hierarchy.levels, hierarchy.pieces) == (own.levels, own.pieces)
 
 
+def test_huge_k_is_capped():
+    # 2**1100 times a float raised OverflowError, and fpt_preserver at
+    # k = 10**9 ran for good; past 2**k > n every q gives the container of
+    # q >= n, and past m(g) every k the container of k = m(g)
+    assert container_params(6, 2) == (math.ceil(4 * math.sqrt(math.log(6))), 4)
+    assert container_params(6, 1100) == container_params(6, 3) == (11, 8)
+    assert container_params(6, 10**9) == container_params(6, 3)
+    g = gen_random(6, 12, 1, ensure_strongly_connected=True)
+    assert fpt_container_all_pairs(g, 1100, 1) == fpt_container_all_pairs(g, g.m, 1)
+    huge = fpt_preserver(g, 10**9, seed=1)
+    at_m = fpt_preserver(g, g.m, seed=1)
+    assert (huge.kept_edges, huge.stats) == (at_m.kept_edges, at_m.stats)
+    assert verify_ft(g, huge.kept_edges, VariantSpec.all_pairs(), g.m).ok
+
+
 @pytest.mark.parametrize("seed", [-5, 1.5, "5", True])
 def test_seeds_are_nonnegative_ints(seed):
     # Random(-5) draws the stream of Random(5), so a negative seed would
